@@ -10,18 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .combinat import parse_partition
-from .diagrams import LatticeDiagram, delta, epsilon, normalize, parse_cells
+from .diagrams import LatticeDiagram, delta, normalize, parse_cells
 from .errors import ResourceLimitError
 from .hilbert import hilbert
-from .operators import (
-    apply_elementary,
-    apply_homogeneous,
-    apply_power_sum,
-    apply_schur,
-    expand,
-)
+from .operators import expand
 from .tableaux import (
     enumerate_column_families,
     enumerate_cs_tableaux,
@@ -30,7 +25,9 @@ from .tableaux import (
     shape_orbit_sign,
 )
 from .verify import (
+    OP_KINDS,
     SuiteConfig,
+    combinatorial_sum,
     parse_suite_config,
     run_suite,
     verify_instance,
@@ -67,20 +64,10 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _apply_dispatch(op: str, param, diagram: LatticeDiagram, axis: str):
-    if op == "p":
-        return apply_power_sum(param, diagram, axis)
-    if op == "e":
-        return apply_elementary(param, diagram, axis)
-    if op == "h":
-        return apply_homogeneous(param, diagram, axis)
-    return apply_schur(param, diagram, axis)
-
-
 def _cmd_apply(args) -> int:
     diagram = _load_diagram(args.diagram)
     param = _operator_param(args.op, args.param)
-    total = _apply_dispatch(args.op, param, diagram, args.axis)
+    total = combinatorial_sum(args.op, param, diagram, args.axis)
     if args.json:
         obj = total.to_json_obj()
         if args.expand:
@@ -115,22 +102,13 @@ def _cmd_suite(args) -> int:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
-    if args.axes is not None:
-        axes = tuple(v.strip() for v in args.axes.split(",") if v.strip())
-        if not axes or any(a not in ("x", "y") for a in axes):
-            raise ValueError(f"bad axes {args.axes!r}")
-        overrides["axes"] = axes
-    if args.operators is not None:
-        ops = tuple(v.strip() for v in args.operators.split(",") if v.strip())
-        if not ops or any(o not in ("p", "e", "h", "s") for o in ops):
-            raise ValueError(f"bad operators {args.operators!r}")
-        overrides["operators"] = ops
+    for key in ("axes", "operators"):
+        text = getattr(args, key)
+        if text is not None:
+            overrides[key] = tuple(v.strip() for v in text.split(",") if v.strip())
     if args.no_fail_fast:
         overrides["fail_fast"] = False
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    summary = run_suite(cfg, corrupt_stage_order=args.corrupt_stage_order)
+    summary = run_suite(replace(cfg, **overrides), corrupt_stage_order=args.corrupt_stage_order)
     if args.json:
         print(json.dumps(summary.to_json_obj()))
     else:
@@ -195,10 +173,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    diagram = _load_diagram(args.diagram)
-    if not epsilon(diagram):
-        raise ValueError("diagram must have distinct cells in the positive quadrant")
-    table = hilbert(diagram)
+    table = hilbert(_load_diagram(args.diagram))
     if args.json:
         print(json.dumps(table.to_json_obj()))
         return 0
@@ -224,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_apply = sub.add_parser("apply", parents=[common],
                              help="apply an operator by the cell-movement rule")
-    p_apply.add_argument("--op", required=True, choices=("p", "e", "h", "s"))
+    p_apply.add_argument("--op", required=True, choices=OP_KINDS)
     p_apply.add_argument("--param", required=True,
                          help="integer for p/e/h, partition like 2,1 for s")
     p_apply.add_argument("--axis", default="x", choices=("x", "y"))
@@ -235,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="check one rule against symbolic differentiation")
-    p_verify.add_argument("--op", required=True, choices=("p", "e", "h", "s"))
+    p_verify.add_argument("--op", required=True, choices=OP_KINDS)
     p_verify.add_argument("--param", required=True)
     p_verify.add_argument("--axis", default="x", choices=("x", "y"))
     p_verify.add_argument("--diagram", required=True)
@@ -249,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--box-cols", dest="box_cols", type=int)
     p_suite.add_argument("--max-weight", dest="max_weight", type=int)
     p_suite.add_argument("--axes", help="comma-separated subset of x,y")
-    p_suite.add_argument("--operators", help="comma-separated subset of p,e,h,s")
+    p_suite.add_argument("--operators", help="comma-separated subset of " + ",".join(OP_KINDS))
     p_suite.add_argument("--no-fail-fast", action="store_true")
     p_suite.add_argument("--corrupt-stage-order", action="store_true",
                          help=argparse.SUPPRESS)

@@ -7,6 +7,7 @@ are tuples in one-line notation.
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
@@ -19,14 +20,6 @@ def check_partition(parts: Iterable[int]) -> tuple[int, ...]:
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing, got {out}")
     return out
-
-
-def is_partition(parts: Sequence[int]) -> bool:
-    try:
-        check_partition(parts)
-    except ValueError:
-        return False
-    return True
 
 
 def conjugate(lam: Iterable[int]) -> tuple[int, ...]:
@@ -59,6 +52,21 @@ def staircase(ell: int) -> tuple[int, ...]:
     if ell < 1:
         raise ValueError("staircase length must be at least 1")
     return tuple(range(ell - 1, -1, -1))
+
+
+def staircase_orbit(lam: Iterable[int]) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The staircase orbit of a nonempty partition: one (sigma, sign, alpha)
+    per permutation sigma of the conjugate's columns, where alpha + d is
+    (conjugate(lam) + d) rearranged by sigma, d = staircase, and sign is the
+    sign of sigma. Shapes with a negative part are included."""
+    lam_conj = conjugate(lam)
+    if not lam_conj:
+        raise ValueError("need a nonempty partition")
+    ell = len(lam_conj)
+    d = staircase(ell)
+    v = [lam_conj[i] + d[i] for i in range(ell)]
+    return [(sigma, permutation_sign(sigma), tuple(v[sigma[i]] - d[i] for i in range(ell)))
+            for sigma in itertools.permutations(range(ell))]
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

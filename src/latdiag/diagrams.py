@@ -226,9 +226,6 @@ class SignedDiagramSum:
         """Terms sorted by the diagrams' cell lists under the lexicographic order."""
         return sorted(self._terms.items(), key=lambda kv: tuple(lex_key(c) for c in kv[0].cells))
 
-    def diagrams(self) -> list[LatticeDiagram]:
-        return [d for d, _ in self.items()]
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .combinat import check_partition, conjugate, permutation_sign, staircase
+from .combinat import check_partition, staircase_orbit
 from .diagrams import (
     Cell,
     LatticeDiagram,
@@ -29,28 +29,28 @@ from .diagrams import (
     normalize,
     transpose,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, check_axis
 from .tableaux import ColumnTableau, enumerate_column_families, enumerate_cs_tableaux
 
 
-def _require_axis(axis: str) -> None:
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+def _on_axis(rule_x: Callable[[LatticeDiagram], SignedDiagramSum],
+             diagram: LatticeDiagram, axis: str, degree: int) -> SignedDiagramSum:
+    """Run an x-axis rule for an operator of the given degree along axis.
 
-
-def _require_clean(diagram: LatticeDiagram) -> None:
+    Every rule enters here. A degree above the diagram's weight on the axis
+    differentiates the determinant to zero, so the empty sum returns without
+    running the rule.
+    """
+    check_axis(axis)
     if not epsilon(diagram):
         raise ValueError("movement rules need n distinct cells in the positive quadrant")
-
-
-def _on_axis(rule_x: Callable[[LatticeDiagram], SignedDiagramSum],
-             diagram: LatticeDiagram, axis: str) -> SignedDiagramSum:
+    out = SignedDiagramSum(len(diagram))
+    if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
+        return out
     if axis == "x":
         return rule_x(diagram)
     flipped, base_sign = transpose(diagram)
-    inner = rule_x(flipped)
-    out = SignedDiagramSum(len(diagram))
-    for d, c in inner.items():
+    for d, c in rule_x(flipped).items():
         back, resort_sign = transpose(d)
         out.add(back, c * base_sign * resort_sign)
     return out
@@ -62,8 +62,6 @@ def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedD
     The coefficient of each surviving diagram is the sign of the permutation
     that resorts the moved cell list.
     """
-    _require_axis(axis)
-    _require_clean(diagram)
     if k < 1:
         raise ValueError("power sum needs k >= 1")
 
@@ -77,34 +75,19 @@ def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedD
             out.add(moved, sign)
         return out
 
-    return _on_axis(rule, diagram, axis)
+    return _on_axis(rule, diagram, axis, k)
 
 
 def apply_elementary(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
-    """Elementary rule: drop each cell of a k-subset by one row.
+    """Elementary rule: drop each cell of a k-subset by one row. This is
+    apply_e_alpha with the single column (k,).
 
-    Surviving terms all carry coefficient +1: one-row moves within a column
-    cannot cross another cell without colliding with it first.
+    Along x, surviving terms all carry coefficient +1: one-row moves within a
+    column cannot cross another cell without colliding with it first.
     """
-    _require_axis(axis)
-    _require_clean(diagram)
     if k < 1:
         raise ValueError("elementary rule needs k >= 1")
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        out = SignedDiagramSum(len(L))
-        for subset in itertools.combinations(range(len(L)), k):
-            cells = list(L.cells)
-            for i in subset:
-                p, q = cells[i]
-                cells[i] = (p - 1, q)
-            moved, sign = normalize(cells)
-            if epsilon(moved):
-                assert sign == 1
-                out.add(moved, 1)
-        return out
-
-    return _on_axis(rule, diagram, axis)
+    return apply_e_alpha((k,), diagram, axis)
 
 
 def apply_homogeneous(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
@@ -115,8 +98,6 @@ def apply_homogeneous(k: int, diagram: LatticeDiagram, axis: str = "x") -> Signe
     (directly, or at the top of a selected chain, or above the box top),
     which repeats a complement cell and kills the term.
     """
-    _require_axis(axis)
-    _require_clean(diagram)
     if k < 1:
         raise ValueError("homogeneous rule needs k >= 1")
 
@@ -136,11 +117,12 @@ def apply_homogeneous(k: int, diagram: LatticeDiagram, axis: str = "x") -> Signe
                 continue
             cells = [c for c in box if c not in new_holes]
             result, sign = normalize(cells)
-            assert sign == 1 and epsilon(result)
+            if sign != 1 or not epsilon(result):
+                raise RuntimeError(f"lifting holes {subset} of [{L}] reordered or repeated cells")
             out.add(result, 1)
         return out
 
-    return _on_axis(rule, diagram, axis)
+    return _on_axis(rule, diagram, axis, k)
 
 
 @dataclass(frozen=True)
@@ -162,7 +144,8 @@ class EpsilonPrimeResult:
 def epsilon_prime(tableau: ColumnTableau, diagram: LatticeDiagram) -> EpsilonPrimeResult:
     """Apply the tableau's columns right to left, cell i dropping one row per
     occurrence of i, and test every intermediate diagram. The order matters:
-    left-to-right application gives wrong coefficients."""
+    left-to-right application, which is this function on the column-reversed
+    tableau, gives wrong coefficients."""
     n = len(diagram)
     for col in tableau.columns:
         if col and col[-1] > n:
@@ -181,51 +164,44 @@ def epsilon_prime(tableau: ColumnTableau, diagram: LatticeDiagram) -> EpsilonPri
     return EpsilonPrimeResult(value, tuple(cells), tuple(stages), tuple(stage_values))
 
 
-def _add_moved(out: SignedDiagramSum, result: EpsilonPrimeResult, coeff: int = 1) -> None:
-    moved, sign = normalize(result.final)
-    assert sign == 1
-    out.add(moved, coeff)
+def staged_sum(L: LatticeDiagram,
+               signed_tableaux: Iterable[tuple[int, ColumnTableau]]) -> SignedDiagramSum:
+    """Sum of sign times the moved diagram over the tableaux whose every
+    epsilon_prime stage survives. Surviving moves never reorder the cells."""
+    out = SignedDiagramSum(len(L))
+    for sign, tab in signed_tableaux:
+        result = epsilon_prime(tab, L)
+        if result.value:
+            moved, resort_sign = normalize(result.final)
+            if resort_sign != 1:
+                raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]")
+            out.add(moved, sign)
+    return out
 
 
 def apply_e_alpha(alpha: tuple[int, ...], diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
     """Product-of-elementaries rule: one term per column family of shape alpha,
     weighted by the staged coefficient. A negative part empties the sum."""
-    _require_axis(axis)
-    _require_clean(diagram)
     alpha = tuple(int(a) for a in alpha)
 
     def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        out = SignedDiagramSum(len(L))
-        if any(a < 0 for a in alpha):
-            return out
-        for tab in enumerate_column_families(alpha, len(L)):
-            result = epsilon_prime(tab, L)
-            if result.value:
-                _add_moved(out, result)
-        return out
+        return staged_sum(L, ((1, tab) for tab in enumerate_column_families(alpha, len(L))))
 
-    return _on_axis(rule, diagram, axis)
+    return _on_axis(rule, diagram, axis, sum(alpha))
 
 
 def apply_schur(lam: tuple[int, ...], diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
     """Schur rule: sum over column-strict Young tableaux only, each weighted
     by the staged coefficient. Along x every coefficient is nonnegative;
     along y the transposition route can contribute resort signs."""
-    _require_axis(axis)
-    _require_clean(diagram)
     lam = check_partition(lam)
     if not lam:
         raise ValueError("need a nonempty partition")
 
     def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        out = SignedDiagramSum(len(L))
-        for tab in enumerate_cs_tableaux(lam, len(L)):
-            result = epsilon_prime(tab, L)
-            if result.value:
-                _add_moved(out, result)
-        return out
+        return staged_sum(L, ((1, tab) for tab in enumerate_cs_tableaux(lam, len(L))))
 
-    return _on_axis(rule, diagram, axis)
+    return _on_axis(rule, diagram, axis, sum(lam))
 
 
 @dataclass(frozen=True)
@@ -243,23 +219,10 @@ def jacobi_trudi_orbit_terms(lam: tuple[int, ...], diagram: LatticeDiagram) -> t
     """The signed double sum over staircase-orbit column families, before any
     cancellation. Debug/verification surface: apply_schur_via_jacobi_trudi is
     its canonicalized form."""
-    lam = check_partition(lam)
-    if not lam:
-        raise ValueError("need a nonempty partition")
-    lam_conj = conjugate(lam)
-    ell = len(lam_conj)
-    d = staircase(ell)
-    v = [lam_conj[i] + d[i] for i in range(ell)]
     n = len(diagram)
-    terms = []
-    for sigma in itertools.permutations(range(ell)):
-        sign = permutation_sign(sigma)
-        alpha = tuple(v[sigma[i]] - d[i] for i in range(ell))
-        if min(alpha) < 0:
-            continue
-        for tab in enumerate_column_families(alpha, n):
-            terms.append(OrbitTerm(sigma, sign, alpha, tab, epsilon_prime(tab, diagram)))
-    return tuple(terms)
+    return tuple(OrbitTerm(sigma, sign, alpha, tab, epsilon_prime(tab, diagram))
+                 for sigma, sign, alpha in staircase_orbit(lam)
+                 for tab in enumerate_column_families(alpha, n))
 
 
 def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
@@ -267,17 +230,14 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
     """Schur rule computed the long way round, through the signed staircase
     orbit. Equals apply_schur after like diagrams combine; the equality is
     the executable content of the cancellation argument."""
-    _require_axis(axis)
-    _require_clean(diagram)
+    orbit = staircase_orbit(lam)
 
     def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        out = SignedDiagramSum(len(L))
-        for term in jacobi_trudi_orbit_terms(lam, L):
-            if term.eps.value:
-                _add_moved(out, term.eps, term.sign)
-        return out
+        n = len(L)
+        return staged_sum(L, ((sign, tab) for _, sign, alpha in orbit
+                              for tab in enumerate_column_families(alpha, n)))
 
-    return _on_axis(rule, diagram, axis)
+    return _on_axis(rule, diagram, axis, sum(lam))
 
 
 def expand(total: SignedDiagramSum, max_cells: int | None = None) -> Polynomial:

@@ -18,9 +18,14 @@ from typing import Mapping, Sequence
 Monomial = tuple[int, ...]
 
 
-def _axis_offset(nvars: int, axis: str, index: int) -> int:
+def check_axis(axis: str) -> None:
+    """Reject any axis name other than "x" or "y"."""
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+
+
+def _axis_offset(nvars: int, axis: str, index: int) -> int:
+    check_axis(axis)
     if not 1 <= index <= nvars:
         raise ValueError(f"variable index {index} out of range 1..{nvars}")
     return (0 if axis == "x" else nvars) + index - 1
@@ -99,8 +104,7 @@ class Polynomial:
 
     def degree(self, axis: str) -> int | None:
         """Maximal degree in one alphabet, or None for the zero polynomial."""
-        if axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        check_axis(axis)
         if not self.terms:
             return None
         n = self.nvars

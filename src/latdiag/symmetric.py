@@ -10,10 +10,22 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .combinat import check_partition, conjugate, permutation_sign, staircase
+from .combinat import check_partition, staircase_orbit
 from .polynomials import Polynomial
 
 from . import tableaux
+
+
+def _index_sum(index_tuples, n: int) -> Polynomial:
+    """Sum of the monomials x_i1 x_i2 ... over the given index tuples, each
+    with coefficient 1."""
+    terms = {}
+    for combo in index_tuples:
+        mono = [0] * (2 * n)
+        for i in combo:
+            mono[i] += 1
+        terms[tuple(mono)] = 1
+    return Polynomial(n, terms)
 
 
 @cache
@@ -21,12 +33,7 @@ def power_sum(k: int, n: int) -> Polynomial:
     """Sum of x_i^k over i = 1..n."""
     if k < 1 or n < 1:
         raise ValueError("power sum needs k >= 1 and n >= 1")
-    terms = {}
-    for i in range(n):
-        mono = [0] * (2 * n)
-        mono[i] = k
-        terms[tuple(mono)] = 1
-    return Polynomial(n, terms)
+    return _index_sum(((i,) * k for i in range(n)), n)
 
 
 @cache
@@ -39,15 +46,7 @@ def elementary(k: int, n: int) -> Polynomial:
         raise ValueError("need n >= 1")
     if k < 0:
         return Polynomial.zero(n)
-    if k == 0:
-        return Polynomial.constant(n, 1)
-    terms = {}
-    for subset in itertools.combinations(range(n), k):
-        mono = [0] * (2 * n)
-        for i in subset:
-            mono[i] = 1
-        terms[tuple(mono)] = 1
-    return Polynomial(n, terms)
+    return _index_sum(itertools.combinations(range(n), k), n)
 
 
 @cache
@@ -57,34 +56,18 @@ def homogeneous(k: int, n: int) -> Polynomial:
         raise ValueError("need n >= 1")
     if k < 0:
         return Polynomial.zero(n)
-    if k == 0:
-        return Polynomial.constant(n, 1)
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        mono = [0] * (2 * n)
-        for i in combo:
-            mono[i] += 1
-        terms[tuple(mono)] = 1
-    return Polynomial(n, terms)
+    return _index_sum(itertools.combinations_with_replacement(range(n), k), n)
 
 
 @cache
 def schur_jacobi_trudi(lam: tuple[int, ...], n: int) -> Polynomial:
     """Schur polynomial via the dual Jacobi-Trudi determinant in the e_k,
     expanded over permutations of the staircase-shifted conjugate shape."""
-    lam = check_partition(lam)
-    if not lam:
-        raise ValueError("need a nonempty partition")
-    lam_conj = conjugate(lam)
-    ell = len(lam_conj)
-    d = staircase(ell)
-    v = [lam_conj[i] + d[i] for i in range(ell)]
     total = Polynomial.zero(n)
-    for perm in itertools.permutations(range(ell)):
-        alpha = tuple(v[perm[i]] - d[i] for i in range(ell))
+    for _, sign, alpha in staircase_orbit(lam):
         if min(alpha) < 0:
             continue
-        product = Polynomial.constant(n, permutation_sign(perm))
+        product = Polynomial.constant(n, sign)
         for a in alpha:
             product = product * elementary(a, n)
         total = total + product

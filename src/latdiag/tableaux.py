@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .combinat import check_partition, conjugate, permutation_sign, staircase
+from .combinat import check_partition, conjugate, staircase_orbit
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def word_pair(left: tuple[int, ...], right: tuple[int, ...]) -> WordPair:
         else:
             unpaired_rights.append(pos)
     unpaired_lefts = stack
-    assert not unpaired_rights or not unpaired_lefts or unpaired_rights[-1] < unpaired_lefts[0]
+    if unpaired_rights and unpaired_lefts and unpaired_rights[-1] > unpaired_lefts[0]:
+        raise RuntimeError(f"pairing of {left} and {right} left a '(' unpaired before a ')'")
     return WordPair(word, marks, tuple(sorted(pairs)), tuple(unpaired_rights), tuple(unpaired_lefts))
 
 
@@ -222,20 +223,11 @@ def shape_orbit_sign(alpha: tuple[int, ...], lam: tuple[int, ...]) -> int:
     conjugate(lam) + staircase; the rearrangement is unique because the
     target is strictly decreasing. Raises ValueError outside the orbit.
     """
-    lam = check_partition(lam)
-    lam_conj = conjugate(lam)
-    ell = len(lam_conj)
     alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != ell:
-        raise ValueError(f"shape {alpha} has {len(alpha)} columns, orbit needs {ell}")
-    d = staircase(ell)
-    v = [lam_conj[i] + d[i] for i in range(ell)]
-    w = [alpha[i] + d[i] for i in range(ell)]
-    if sorted(w) != sorted(v):
-        raise ValueError(f"shape {alpha} is not in the orbit of {lam}")
-    position = {value: idx for idx, value in enumerate(v)}
-    perm = tuple(position[value] for value in w)
-    return permutation_sign(perm)
+    for _, sign, shape in staircase_orbit(lam):
+        if shape == alpha:
+            return sign
+    raise ValueError(f"shape {alpha} is not in the orbit of {lam}")
 
 
 @dataclass(frozen=True)

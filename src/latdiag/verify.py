@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 from .combinat import check_partition, partitions_of
-from .diagrams import LatticeDiagram, SignedDiagramSum, delta, epsilon, normalize, transpose
+from .diagrams import LatticeDiagram, SignedDiagramSum, delta
 from .operators import (
+    _on_axis,
     apply_e_alpha,
     apply_elementary,
     apply_homogeneous,
@@ -22,8 +23,9 @@ from .operators import (
     apply_schur,
     epsilon_prime,
     expand,
+    staged_sum,
 )
-from .polynomials import Polynomial, diff_operator
+from .polynomials import Polynomial, check_axis, diff_operator
 from .symmetric import elementary, homogeneous, power_sum, schur_jacobi_trudi
 from .tableaux import ColumnTableau, enumerate_cs_tableaux
 
@@ -32,6 +34,7 @@ OP_KINDS = ("p", "e", "h", "s")
 
 def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     """The symmetric polynomial whose derivative operator an instance tests."""
+    check_axis(axis)
     if op == "p":
         poly = power_sum(int(param), n)
     elif op == "e":
@@ -47,11 +50,7 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
         poly = total
     else:
         raise ValueError(f"unknown operator kind {op!r}")
-    if axis == "y":
-        poly = poly.swap_alphabets()
-    elif axis != "x":
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return poly
+    return poly.swap_alphabets() if axis == "y" else poly
 
 
 def combinatorial_sum(op: str, param, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
@@ -110,20 +109,22 @@ class VerificationReport:
         return obj
 
 
-def _witness_term(difference: Polynomial) -> str:
-    mono, coeff = difference._term_order()[0]
-    return str(Polynomial(difference.nvars, {mono: coeff}))
+def _compare(op: str, param, diagram: LatticeDiagram, axis: str,
+             total: SignedDiagramSum) -> VerificationReport:
+    expected = diff_operator(operator_polynomial(op, param, len(diagram), axis), delta(diagram))
+    actual = expand(total)
+    difference = expected - actual
+    match = difference.is_zero
+    witness = None
+    if not match:
+        mono, coeff = difference._term_order()[0]
+        witness = str(Polynomial(difference.nvars, {mono: coeff}))
+    return VerificationReport(op, param, diagram, axis, expected, actual, match, witness)
 
 
 def verify_instance(op: str, param, diagram: LatticeDiagram, axis: str = "x") -> VerificationReport:
     """Compare a cell-movement rule against symbolic differentiation, exactly."""
-    n = len(diagram)
-    expected = diff_operator(operator_polynomial(op, param, n, axis), delta(diagram))
-    actual = expand(combinatorial_sum(op, param, diagram, axis))
-    difference = expected - actual
-    match = difference.is_zero
-    witness = None if match else _witness_term(difference)
-    return VerificationReport(op, param, diagram, axis, expected, actual, match, witness)
+    return _compare(op, param, diagram, axis, combinatorial_sum(op, param, diagram, axis))
 
 
 @cache
@@ -145,8 +146,20 @@ class SuiteConfig:
     box_cols: int = 3
     max_weight: int = 3
     axes: tuple[str, ...] = ("x", "y")
-    operators: tuple[str, ...] = ("p", "e", "h", "s")
+    operators: tuple[str, ...] = OP_KINDS
     fail_fast: bool = True
+
+    def __post_init__(self):
+        for key in ("max_cells", "box_rows", "box_cols", "max_weight"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not self.axes or not self.operators:
+            raise ValueError("axes and operators must each list at least one entry")
+        for axis in self.axes:
+            check_axis(axis)
+        for op in self.operators:
+            if op not in OP_KINDS:
+                raise ValueError(f"unknown operator kind {op!r}, expected one of {OP_KINDS}")
 
 
 def parse_suite_config(text: str) -> SuiteConfig:
@@ -159,25 +172,19 @@ def parse_suite_config(text: str) -> SuiteConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("max_cells", "box_rows", "box_cols", "max_weight"):
-            cfg = replace(cfg, **{key: int(value)})
-        elif key == "axes":
-            axes = tuple(v.strip() for v in value.split(",") if v.strip())
-            if not axes or any(a not in ("x", "y") for a in axes):
-                raise ValueError(f"config line {lineno}: bad axes {value!r}")
-            cfg = replace(cfg, axes=axes)
-        elif key == "operators":
-            ops = tuple(v.strip() for v in value.split(",") if v.strip())
-            if not ops or any(o not in OP_KINDS for o in ops):
-                raise ValueError(f"config line {lineno}: bad operators {value!r}")
-            cfg = replace(cfg, operators=ops)
-        elif key == "fail_fast":
-            lowered = value.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(f"config line {lineno}: bad fail_fast {value!r}")
-            cfg = replace(cfg, fail_fast=lowered == "true")
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            if key in ("max_cells", "box_rows", "box_cols", "max_weight"):
+                cfg = replace(cfg, **{key: int(value)})
+            elif key in ("axes", "operators"):
+                cfg = replace(cfg, **{key: tuple(v.strip() for v in value.split(",") if v.strip())})
+            elif key == "fail_fast":
+                if value.lower() not in ("true", "false"):
+                    raise ValueError(f"bad fail_fast {value!r}")
+                cfg = replace(cfg, fail_fast=value.lower() == "true")
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return cfg
 
 
@@ -234,42 +241,22 @@ class SuiteSummary:
         return obj
 
 
-def _left_to_right_eps(tableau: ColumnTableau, diagram: LatticeDiagram) -> int:
-    # The deliberately wrong stage order, kept in the harness as a
-    # counterexample generator; the library rule is rightmost-first.
-    cells = list(diagram.cells)
-    for col in tableau.columns:
-        for entry in col:
-            p, q = cells[entry - 1]
-            cells[entry - 1] = (p - 1, q)
-        if not epsilon(cells):
-            return 0
-    return 1
-
-
 def schur_left_to_right(lam: tuple[int, ...], diagram: LatticeDiagram,
                         axis: str = "x") -> SignedDiagramSum:
-    """apply_schur with the column stages applied in the wrong order."""
-    if axis == "y":
-        flipped, base_sign = transpose(diagram)
-        inner = schur_left_to_right(lam, flipped, "x")
-        out = SignedDiagramSum(len(diagram))
-        for d, c in inner.items():
-            back, resort_sign = transpose(d)
-            out.add(back, c * base_sign * resort_sign)
-        return out
+    """apply_schur with the column stages applied in the wrong order.
+
+    Kept in the harness as a counterexample generator; the library rule is
+    rightmost-first."""
     lam = check_partition(lam)
-    n = len(diagram)
-    out = SignedDiagramSum(n)
-    for tab in enumerate_cs_tableaux(lam, n):
-        if _left_to_right_eps(tab, diagram):
-            cells = list(diagram.cells)
-            for entry, mult in tab.entry_multiplicities().items():
-                p, q = cells[entry - 1]
-                cells[entry - 1] = (p - mult, q)
-            moved, _ = normalize(cells)
-            out.add(moved, 1)
-    return out
+
+    def rule(L: LatticeDiagram) -> SignedDiagramSum:
+        return staged_sum(L, ((1, _reversed(tab)) for tab in enumerate_cs_tableaux(lam, len(L))))
+
+    return _on_axis(rule, diagram, axis, sum(lam))
+
+
+def _reversed(tableau: ColumnTableau) -> ColumnTableau:
+    return ColumnTableau(tableau.columns[::-1], tableau.max_entry)
 
 
 def run_suite(cfg: SuiteConfig, corrupt_stage_order: bool = False) -> SuiteSummary:
@@ -282,14 +269,7 @@ def run_suite(cfg: SuiteConfig, corrupt_stage_order: bool = False) -> SuiteSumma
     first_failure = None
     for op, param, diagram, axis in suite_instances(cfg):
         if corrupt_stage_order and op == "s":
-            expected = diff_operator(
-                operator_polynomial(op, param, len(diagram), axis), delta(diagram))
-            actual = expand(schur_left_to_right(param, diagram, axis))
-            difference = expected - actual
-            match = difference.is_zero
-            witness = None if match else _witness_term(difference)
-            report = VerificationReport(op, param, diagram, axis,
-                                        expected, actual, match, witness)
+            report = _compare(op, param, diagram, axis, schur_left_to_right(param, diagram, axis))
         else:
             report = verify_instance(op, param, diagram, axis)
         total += 1
@@ -335,7 +315,7 @@ def find_stage_order_witness(max_cells: int = 4, box_rows: int = 3, box_cols: in
                 continue
             for tab in enumerate_cs_tableaux(lam, n):
                 rl_eps = epsilon_prime(tab, diagram).value
-                lr_eps = _left_to_right_eps(tab, diagram)
+                lr_eps = epsilon_prime(_reversed(tab), diagram).value
                 if rl_eps != lr_eps:
                     return StageOrderWitness(lam, diagram, tab, rl_eps, lr_eps,
                                              oracle, rl, lr)

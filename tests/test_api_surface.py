@@ -1,0 +1,39 @@
+"""Every name the package exports and every function the benchmark tracer
+wraps must resolve. The tier-1 suite never installs the tracer, so without
+this check a renamed function would break only the traced benchmark run."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import latdiag
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracer():
+    # Loaded from its file, under its own name, so sys.path stays untouched.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_package_exports_resolve():
+    tree = ast.parse((ROOT / "src" / "latdiag" / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"latdiag.{node.module}")
+        for alias in node.names:
+            assert getattr(latdiag, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_tracer_paths_resolve():
+    tracer = _load_tracer()
+    paths = [path for path, _, _ in tracer.SPANS] + [path for path, _ in tracer.COUNTS]
+    assert paths
+    for path in paths:
+        importlib.import_module(f"latdiag.{path.partition(':')[0]}")
+        assert callable(tracer._resolve(path)), path

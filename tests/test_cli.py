@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,17 @@ def test_apply_json_round_trip(capsys):
     assert parse_polynomial(obj["polynomial"], 2) == parse_polynomial("x2 - x1", 2)
 
 
+def test_apply_degree_above_weight_prints_zero_at_once(capsys):
+    # s_(14) has degree 14 and the row weight is 6; enumerating the 4^14
+    # column families would take minutes
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "apply", "--op", "s", "--param", "14",
+                       "--diagram", "0,0;1,0;2,0;3,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == "0"
+
+
 # -- verify and suite ---------------------------------------------------------
 
 
@@ -132,6 +144,22 @@ def test_suite_corrupted_mode_fails(capsys):
 def test_suite_bad_config_exit_2(capsys, tmp_path):
     config = tmp_path / "suite.cfg"
     config.write_text("bogus=1\n")
+    code, _, err = run(capsys, "suite", "--config", str(config))
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-cells", "--box-rows", "--box-cols", "--max-weight"])
+def test_suite_empty_universe_exit_2(capsys, flag):
+    code, out, err = run(capsys, "suite", flag, "0")
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+
+
+def test_suite_empty_config_exit_2(capsys, tmp_path):
+    config = tmp_path / "suite.cfg"
+    config.write_text("max_cells=0\n")
     code, _, err = run(capsys, "suite", "--config", str(config))
     assert code == 2
     assert "error:" in err

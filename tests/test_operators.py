@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -329,3 +330,15 @@ def test_x_moves_shift_row_weight_only():
                 for moved, _ in total.items():
                     assert moved.row_weight == diagram.row_weight - k
                     assert moved.column_weight == diagram.column_weight
+
+
+def test_degree_above_weight_returns_empty_at_once():
+    # Each degree exceeds the column weight (5, then 6); full enumeration
+    # would walk C(28, 8) hole sets or 4^9 column families, for seconds.
+    cases = [(apply_homogeneous, 8, D((0, 0), (4, 5))),
+             (apply_schur, (9,), D((0, 0), (0, 1), (0, 2), (0, 3)))]
+    for rule, param, diagram in cases:
+        start = time.perf_counter()
+        total = rule(param, diagram, axis="y")
+        assert time.perf_counter() - start < 1.0
+        assert not total
