@@ -11,6 +11,12 @@ import itertools
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
+from .errors import ResourceLimitError
+
+# Leibniz expansion cap: n! permutations, for the determinant of an n-cell
+# diagram and for the n x n Jacobi-Trudi determinant (the staircase orbit).
+DETERMINANT_CAP = 9
+
 
 def check_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate and return a partition as a tuple (weakly decreasing, positive)."""
@@ -58,11 +64,15 @@ def staircase_orbit(lam: Iterable[int]) -> list[tuple[tuple[int, ...], int, tupl
     """The staircase orbit of a nonempty partition: one (sigma, sign, alpha)
     per permutation sigma of the conjugate's columns, where alpha + d is
     (conjugate(lam) + d) rearranged by sigma, d = staircase, and sign is the
-    sign of sigma. Shapes with a negative part are included."""
+    sign of sigma. Shapes with a negative part are included. The orbit is the
+    Leibniz sum of the Jacobi-Trudi determinant, so a conjugate with more than
+    DETERMINANT_CAP parts raises ResourceLimitError."""
     lam_conj = conjugate(lam)
     if not lam_conj:
         raise ValueError("need a nonempty partition")
     ell = len(lam_conj)
+    if ell > DETERMINANT_CAP:
+        raise ResourceLimitError(f"staircase orbit has {ell}! terms, cap is {DETERMINANT_CAP}!")
     d = staircase(ell)
     v = [lam_conj[i] + d[i] for i in range(ell)]
     return [(sigma, permutation_sign(sigma), tuple(v[sigma[i]] - d[i] for i in range(ell)))

@@ -16,14 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .combinat import check_partition, permutation_sign
+from .combinat import DETERMINANT_CAP, check_partition, permutation_sign
 from .errors import ResourceLimitError
 from .polynomials import Polynomial
 
 Cell = tuple[int, int]
-
-# Leibniz expansion cap: n! permutations with one monomial each.
-DETERMINANT_CAP = 9
 
 
 def lex_key(cell: Cell) -> tuple[int, int]:
@@ -68,12 +65,6 @@ class LatticeDiagram:
     def column_weight(self) -> int:
         """Sum of column coordinates; the y-degree of the determinant."""
         return sum(q for _, q in self.cells)
-
-    def max_row(self) -> int:
-        return max(p for p, _ in self.cells)
-
-    def max_column(self) -> int:
-        return max(q for _, q in self.cells)
 
     def __str__(self) -> str:
         return ";".join(f"{p},{q}" for p, q in self.cells)

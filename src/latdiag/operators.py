@@ -1,10 +1,14 @@
 """Cell-movement rules for symmetric differential operators on diagrams.
 
 Each rule turns an operator application into a signed sum of diagrams whose
-determinants add up to the honest derivative. The x-axis rules move cells
-down one row at a time; y-axis applications go through transposition, with
-the two resort signs multiplied into each coefficient, because a single
-column move can reorder the lexicographic positions while a row move cannot.
+determinants add up to the honest derivative. Along x, p_k drops one cell by
+k rows; every other rule is a staged sum over tableaux whose entries drop
+cells one row at a time: e_alpha over column families of shape alpha, and
+s_lambda over column-strict Young tableaux of shape lambda, with e_k the
+one-column e_(k) and h_k the one-row s_(k). y-axis applications go through
+transposition, with the two resort signs multiplied into each coefficient,
+because a single column move can reorder the lexicographic positions while
+a row move cannot.
 
 Tableau entries always index cells of the *original* diagram in lex order.
 This stays well defined across stages: a one-row move within a column either
@@ -14,7 +18,6 @@ so surviving intermediate diagrams never reorder.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -23,7 +26,6 @@ from .diagrams import (
     Cell,
     LatticeDiagram,
     SignedDiagramSum,
-    complement_cells,
     delta,
     epsilon,
     normalize,
@@ -91,38 +93,11 @@ def apply_elementary(k: int, diagram: LatticeDiagram, axis: str = "x") -> Signed
 
 
 def apply_homogeneous(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
-    """Homogeneous rule: lift each hole of a k-subset of the complement by one row.
-
-    The complement is truncated to the bounding box of the diagram. That
-    loses nothing: a selected hole outside the box moves onto another hole
-    (directly, or at the top of a selected chain, or above the box top),
-    which repeats a complement cell and kills the term.
-    """
+    """Homogeneous rule: h_k is the one-row Schur operator s_(k), so this is
+    apply_schur((k,))."""
     if k < 1:
         raise ValueError("homogeneous rule needs k >= 1")
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        out = SignedDiagramSum(len(L))
-        row_bound = L.max_row()
-        col_bound = L.max_column()
-        holes = complement_cells(L, row_bound, col_bound)
-        hole_set = set(holes)
-        box = [(p, q) for q in range(col_bound + 1) for p in range(row_bound + 1)]
-        for subset in itertools.combinations(holes, k):
-            moved = [(p + 1, q) for p, q in subset]
-            if any(p > row_bound for p, _ in moved):
-                continue
-            new_holes = (hole_set - set(subset)) | set(moved)
-            if len(new_holes) != len(holes):
-                continue
-            cells = [c for c in box if c not in new_holes]
-            result, sign = normalize(cells)
-            if sign != 1 or not epsilon(result):
-                raise RuntimeError(f"lifting holes {subset} of [{L}] reordered or repeated cells")
-            out.add(result, 1)
-        return out
-
-    return _on_axis(rule, diagram, axis, k)
+    return apply_schur((k,), diagram, axis)
 
 
 @dataclass(frozen=True)

@@ -137,11 +137,7 @@ class Polynomial:
         self._check_compatible(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
+            out[mono] = out.get(mono, 0) + coeff
         return Polynomial(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
@@ -159,11 +155,7 @@ class Polynomial:
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
                     key = tuple(ea + eb for ea, eb in zip(ma, mb))
-                    acc = out.get(key, 0) + ca * cb
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
+                    out[key] = out.get(key, 0) + ca * cb
             return Polynomial(self.nvars, out)
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -252,11 +244,7 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
                 key.append(e - a)
             else:
                 k = tuple(key)
-                acc = out.get(k, 0) + coeff
-                if acc:
-                    out[k] = acc
-                elif k in out:
-                    del out[k]
+                out[k] = out.get(k, 0) + coeff
     return Polynomial(target.nvars, out)
 
 
@@ -359,11 +347,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         i = 1
     while True:
         coeff, mono = parse_term()
-        acc = terms.get(mono, 0) + sign * coeff
-        if acc:
-            terms[mono] = acc
-        elif mono in terms:
-            del terms[mono]
+        terms[mono] = terms.get(mono, 0) + sign * coeff
         if i >= len(tokens):
             break
         kind, value = tokens[i]

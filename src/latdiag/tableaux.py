@@ -3,16 +3,19 @@
 A column tableau is a tuple of strictly increasing columns read bottom to
 top; the shape is the composition of column heights. Column-strict Young
 tableaux are the members whose shape is a partition and whose rows weakly
-increase, which the pairing criterion detects without looking at rows.
+increase, which the pairing criterion detects without looking at rows;
+enumerate_cs_tableaux builds them directly instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache
 
 from .combinat import check_partition, conjugate, staircase_orbit
+from .errors import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -171,16 +174,27 @@ def is_column_strict(tableau: ColumnTableau) -> bool:
     return all(word_pair(cols[j], cols[j + 1]).r == 0 for j in range(len(cols) - 1))
 
 
+# Most column families or column-strict tableaux built in one call.
+ENUMERATION_CAP = 10**6
+
+
+def _check_count(count: int, what: str) -> None:
+    if count > ENUMERATION_CAP:
+        raise ResourceLimitError(f"{count} {what}, enumeration cap is {ENUMERATION_CAP}")
+
+
 @cache
 def enumerate_column_families(alpha: tuple[int, ...], n: int) -> tuple[ColumnTableau, ...]:
     """All tuples of strict columns of the given heights with entries in 1..n.
 
     Any negative height makes the family empty. The count is the product of
-    binomial(n, alpha_j).
+    binomial(n, alpha_j); above ENUMERATION_CAP it raises ResourceLimitError
+    before any family is built.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         return ()
+    _check_count(math.prod(math.comb(max(n, 0), a) for a in alpha), "column families")
     pools = [list(itertools.combinations(range(1, n + 1), a)) for a in alpha]
     return tuple(ColumnTableau(cols, n) for cols in itertools.product(*pools))
 
@@ -188,12 +202,26 @@ def enumerate_column_families(alpha: tuple[int, ...], n: int) -> tuple[ColumnTab
 @cache
 def enumerate_cs_tableaux(lam: tuple[int, ...], n: int) -> tuple[ColumnTableau, ...]:
     """All column-strict Young tableaux of partition shape lam, entries in 1..n,
-    ordered by their column reading word."""
+    in increasing order of their column reading word.
+
+    Built column by column, left to right: each column is a strict subset of
+    1..n, kept when row by row its entries are at least those of the column
+    before it. Every partial tableau extends, so nothing built is thrown
+    away. The count, from the hook-content formula, is checked against
+    ENUMERATION_CAP first.
+    """
     lam = check_partition(lam)
-    families = enumerate_column_families(conjugate(lam), n)
-    good = [t for t in families if is_column_strict(t)]
-    good.sort(key=lambda t: tuple(itertools.chain.from_iterable(t.columns)))
-    return tuple(good)
+    heights = conjugate(lam)
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    count = (math.prod(max(n, 0) + j - i for i, j in cells)
+             // math.prod(lam[i] - j + heights[j] - i - 1 for i, j in cells))
+    _check_count(count, "column-strict tableaux")
+    built: list[tuple[tuple[int, ...], ...]] = [()]
+    for h in heights:
+        pool = list(itertools.combinations(range(1, n + 1), h))
+        built = [cols + (col,) for cols in built for col in pool
+                 if not cols or all(a >= b for a, b in zip(col, cols[-1]))]
+    return tuple(ColumnTableau(cols, n) for cols in built)
 
 
 def find_violating_pair(tableau: ColumnTableau) -> tuple[int, int] | None:

@@ -113,12 +113,11 @@ def _compare(op: str, param, diagram: LatticeDiagram, axis: str,
              total: SignedDiagramSum) -> VerificationReport:
     expected = diff_operator(operator_polynomial(op, param, len(diagram), axis), delta(diagram))
     actual = expand(total)
-    difference = expected - actual
-    match = difference.is_zero
+    match = expected == actual
     witness = None
     if not match:
-        mono, coeff = difference._term_order()[0]
-        witness = str(Polynomial(difference.nvars, {mono: coeff}))
+        mono, coeff = (expected - actual)._term_order()[0]
+        witness = str(Polynomial(expected.nvars, {mono: coeff}))
     return VerificationReport(op, param, diagram, axis, expected, actual, match, witness)
 
 

@@ -253,3 +253,42 @@ def test_argparse_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["apply", "--op", "q", "--param", "1", "--diagram", "0,0"])
     assert exc.value.code == 2
+
+
+# -- bounded inputs ----------------------------------------------------------
+
+
+def timed_run(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0, argv
+    return result
+
+
+def test_apply_homogeneous_on_sparse_diagram_at_once(capsys):
+    # h_3 runs as s_(3): four tableaux on two cells, not every 3-subset of
+    # the 2599 holes in the bounding box
+    code, out, _ = timed_run(capsys, "apply", "--op", "h", "--param", "3",
+                             "--diagram", "0,0;50,50")
+    assert code == 0
+    assert out.strip() == "+1 * [0,0;47,50]"
+    code, out, _ = timed_run(capsys, "verify", "--op", "h", "--param", "3",
+                             "--diagram", "0,0;50,50")
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_tableaux_one_row_listing_at_once(capsys):
+    code, out, _ = timed_run(capsys, "tableaux", "--shape", "12", "--max-entry", "4")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 455
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--op", "s", "--param", "14", "--diagram", "0,0;1,0;2,0;3,0"),
+    ("tableaux", "--families", "--shape", ",".join(["1"] * 12), "--max-entry", "10"),
+])
+def test_capped_commands_exit_2_at_once(capsys, argv):
+    code, _, err = timed_run(capsys, *argv)
+    assert code == 2
+    assert "cap" in err

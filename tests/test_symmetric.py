@@ -3,13 +3,17 @@ import random
 
 import pytest
 
+from latdiag import diagrams
 from latdiag.combinat import (
+    DETERMINANT_CAP,
     check_partition,
     conjugate,
     partitions_of,
     staircase,
+    staircase_orbit,
     weak_compositions,
 )
+from latdiag.errors import ResourceLimitError
 from latdiag.polynomials import Polynomial, diagonal_action
 from latdiag.symmetric import (
     elementary,
@@ -142,3 +146,12 @@ def test_outputs_are_symmetric():
         for _ in range(4):
             sigma = rng.choice(perms)
             assert diagonal_action(sigma, poly) == poly
+
+
+def test_staircase_orbit_capped_like_a_determinant():
+    # (14) has 14 conjugate parts: 14! orbit terms, refused before the walk
+    with pytest.raises(ResourceLimitError):
+        staircase_orbit((14,))
+    with pytest.raises(ResourceLimitError):
+        schur_jacobi_trudi((14,), 4)
+    assert diagrams.DETERMINANT_CAP == DETERMINANT_CAP

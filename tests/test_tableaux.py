@@ -4,6 +4,7 @@ import math
 import pytest
 
 from latdiag.combinat import conjugate, partitions_of, staircase
+from latdiag.errors import ResourceLimitError
 from latdiag.tableaux import (
     ColumnTableau,
     enumerate_column_families,
@@ -280,3 +281,21 @@ def test_find_violating_pair_scan_order():
     assert find_violating_pair(tab) == (1, 1)
     # with a single incompatible pair the scan finds it wherever it sits
     assert find_violating_pair(parse_tableau("2|1|1", max_entry=3)) == (0, 0)
+
+
+def test_cs_tableaux_strictly_increase_in_column_reading_word():
+    for k in range(1, 6):
+        for lam in partitions_of(k):
+            for n in range(1, 6):
+                words = [tuple(itertools.chain.from_iterable(t.columns))
+                         for t in enumerate_cs_tableaux(lam, n)]
+                assert all(a < b for a, b in zip(words, words[1:])), (lam, n)
+
+
+def test_enumerations_above_the_cap_raise_before_building():
+    # 10^12 column families and C(41, 12) tableaux: both refused at once
+    with pytest.raises(ResourceLimitError):
+        enumerate_column_families((1,) * 12, 10)
+    with pytest.raises(ResourceLimitError):
+        enumerate_cs_tableaux((12,), 30)
+    assert len(enumerate_cs_tableaux((12,), 4)) == math.comb(15, 3)
