@@ -22,6 +22,10 @@ from .polynomials import Polynomial
 
 Cell = tuple[int, int]
 
+# _delta_expand takes the factorial of every coordinate; factorial(1000)
+# costs well under a millisecond.
+COORDINATE_CAP = 1000
+
 
 def lex_key(cell: Cell) -> tuple[int, int]:
     p, q = cell
@@ -148,6 +152,8 @@ def delta(diagram: LatticeDiagram, max_cells: int | None = None) -> Polynomial:
         raise ValueError("determinant needs at least one cell")
     if n > cap:
         raise ResourceLimitError(f"diagram has {n} cells, expansion cap is {cap}")
+    if max(max(cell) for cell in diagram.cells) > COORDINATE_CAP:
+        raise ResourceLimitError(f"a coordinate of {diagram} exceeds the cap {COORDINATE_CAP}")
     return _delta_expand(diagram.cells)
 
 

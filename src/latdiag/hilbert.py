@@ -1,9 +1,21 @@
 """Bigraded dimension tables of the span of all derivatives of a determinant.
 
-For each bidegree (a, b) the homogeneous piece is spanned by the derivatives
-of order (|p|-a, |q|-b); its dimension is the exact rank of those
-polynomials in the monomial basis. Rank computation is fraction-free:
-rows are scaled to integers and eliminated with exact Bareiss division.
+The span M_L of all partial derivatives of delta(L) is closed under
+differentiation, so each homogeneous piece is spanned by the first partials
+of a piece one degree above it. `hilbert` walks the bidegrees from the top,
+(X, Y) = (row weight, column weight), down to (0, 0): the pieces (X, b) come
+from the y-partials of (X, b+1), and every piece (a, b) with a < X from the
+x-partials of (a+1, b). Any derivative of order (X-a, Y-b) with X-a >= 1
+contains an x-partial, and partials commute, so that one predecessor is
+enough.
+
+The work happens in the divided-power basis x^[a] = x^a / a!, where delta(L)
+has coefficients +-1 and a partial derivative only lowers one exponent.
+Each piece is kept as integer rows in echelon form, keyed by leading
+monomial: a candidate is reduced by fraction-free cross-multiplication and
+divided by the gcd of its coefficients, and the dimension is the number of
+rows that survive. `exact_rank`, a Bareiss rank of a rational matrix, stays
+as a general tool.
 """
 
 from __future__ import annotations
@@ -13,12 +25,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinat import weak_compositions
 from .diagrams import LatticeDiagram, delta, epsilon
 from .errors import ResourceLimitError
-from .polynomials import Polynomial, diff_operator
+from .polynomials import Polynomial
 
 DEGREE_CAP = 12
+# 7-cell Ferrers tables take 15-45 s; an 8-cell delta has eight times the
+# terms (40,320) of a 7-cell one.
+CELL_CAP = 7
+
+# A polynomial in the divided-power basis: each monomial packed into an int,
+# one fixed-width bit field per exponent with x1 lowest, mapped to its
+# integer coefficient.
+Row = dict[int, int]
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
@@ -88,48 +107,93 @@ class HilbertTable:
 
 
 def hilbert(diagram: LatticeDiagram, degree_cap: int = DEGREE_CAP,
-            max_cells: int | None = None) -> HilbertTable:
+            max_cells: int = CELL_CAP) -> HilbertTable:
     """The bigraded Hilbert series of the derivative span, as a table."""
     if not epsilon(diagram):
         raise ValueError("derivative span needs n distinct cells in the positive quadrant")
-    base = delta(diagram, max_cells=max_cells)
     x_top = diagram.row_weight
     y_top = diagram.column_weight
     if x_top > degree_cap or y_top > degree_cap:
         raise ResourceLimitError(
             f"bidegree ({x_top}, {y_top}) exceeds the degree cap {degree_cap}")
     n = len(diagram)
-    entries = []
-    for a in range(x_top + 1):
-        for b in range(y_top + 1):
-            generators = []
-            for xexp in weak_compositions(x_top - a, n):
-                for yexp in weak_compositions(y_top - b, n):
-                    op = Polynomial.monomial(n, xexp, yexp)
-                    g = diff_operator(op, base)
-                    if g:
-                        generators.append(g)
-            rank = _span_rank(generators)
-            if rank:
-                entries.append(((a, b), rank))
-    return HilbertTable(x_top, y_top, tuple(entries))
+    base = delta(diagram, max_cells=max_cells)
+    width = max(map(max, base.terms)).bit_length() or 1
+    mask = (1 << width) - 1
+    shifts = [width * pos for pos in range(2 * n)]
+    # column[b] is the echelon basis of the piece (a, b) for the current a
+    column = [[_divided_powers(base, width)]]
+    for _ in range(y_top):
+        column.append(_partials_span(column[-1], shifts[n:], mask))
+    column.reverse()
+    dims = {}
+    for a in range(x_top, -1, -1):
+        if a < x_top:
+            column = [_partials_span(basis, shifts[:n], mask) for basis in column]
+        for b, basis in enumerate(column):
+            if basis:
+                dims[(a, b)] = len(basis)
+    return HilbertTable(x_top, y_top, tuple(sorted(dims.items())))
 
 
-def _span_rank(generators: list[Polynomial]) -> int:
-    if not generators:
-        return 0
-    basis = sorted({m for g in generators for m in g.terms})
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for g in generators:
-        row = [Fraction(0)] * len(basis)
-        for m, c in g.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    return exact_rank(rows)
+def _divided_powers(poly: Polynomial, width: int) -> Row:
+    """A polynomial whose divided-power coefficients are all +-1, as those of
+    delta(L) are, as a Row with `width` bits per exponent."""
+    row = {}
+    for mono, coeff in poly.terms.items():
+        value = coeff * math.prod(math.factorial(e) for e in mono)
+        if value not in (1, -1):
+            raise RuntimeError(f"divided-power coefficient {value} of {mono} is not +-1")
+        row[sum(e << (width * pos) for pos, e in enumerate(mono))] = int(value)
+    return row
+
+
+def _partials_span(basis: list[Row], shifts: list[int], mask: int) -> list[Row]:
+    """Echelon basis of the span of the partials of the basis rows, one
+    partial per exponent field starting at a bit in shifts."""
+    pivots: dict[int, Row] = {}
+    for row in basis:
+        for shift in shifts:
+            unit = 1 << shift
+            _insert(pivots, {m - unit: c for m, c in row.items() if m >> shift & mask})
+    return list(pivots.values())
+
+
+def _insert(pivots: dict[int, Row], row: Row) -> None:
+    """Reduce a row against the echelon rows, keyed by leading monomial, and
+    keep what survives as a new one: divided by the gcd of its coefficients,
+    with a positive leading coefficient."""
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = math.gcd(*row.values())
+            if row[lead] < 0:
+                g = -g
+            if g != 1:
+                row = {m: c // g for m, c in row.items()}
+            pivots[lead] = row
+            return
+        p, q = pivot[lead], row[lead]
+        if p != 1:
+            # fraction-free: row becomes p*row - q*pivot, with p and q coprime
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            for m in row:
+                row[m] *= p
+        for m, c in pivot.items():
+            v = row.get(m, 0) - q * c
+            if v:
+                row[m] = v
+            else:
+                del row[m]
+        if p != 1 and row:
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {m: c // g for m, c in row.items()}
 
 
 def total_dimension(diagram: LatticeDiagram, degree_cap: int = DEGREE_CAP,
-                    max_cells: int | None = None) -> int:
+                    max_cells: int = CELL_CAP) -> int:
     """Dimension of the full derivative span (the n! value for Ferrers diagrams)."""
     return hilbert(diagram, degree_cap=degree_cap, max_cells=max_cells).total

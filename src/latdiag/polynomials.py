@@ -138,7 +138,7 @@ class Polynomial:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out.get(mono, 0) + coeff
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, {m: c for m, c in out.items() if c})
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
@@ -245,7 +245,7 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
             else:
                 k = tuple(key)
                 out[k] = out.get(k, 0) + coeff
-    return Polynomial(target.nvars, out)
+    return Polynomial(target.nvars, {m: c for m, c in out.items() if c})
 
 
 def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:

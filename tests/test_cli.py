@@ -292,3 +292,22 @@ def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--diagram", "0,0;1,0;0,1;1,1;0,2;1,2;0,3;1,3"),
+    ("delta", "--diagram", "3000000,0"),
+])
+def test_hilbert_and_delta_caps_exit_2_at_once(capsys, argv):
+    code, _, err = timed_run(capsys, *argv)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_hilbert_six_cell_ferrers(capsys):
+    # ferrers((3,3)): n! = 720, in seconds rather than minutes
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hilbert", "--diagram", "0,0;1,0;0,1;1,1;0,2;1,2")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert out.splitlines()[-1] == "total: 720"

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from latdiag.diagrams import (
+    COORDINATE_CAP,
     LatticeDiagram,
     SignedDiagramSum,
     complement_cells,
@@ -268,3 +270,11 @@ def test_sum_rejects_wrong_size():
     total = SignedDiagramSum(2)
     with pytest.raises(ValueError):
         total.add(LatticeDiagram(((0, 0),)), 1)
+
+
+def test_delta_coordinate_cap():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        delta(LatticeDiagram(((3000000, 0),)))
+    assert time.perf_counter() - start < 1.0
+    assert delta(LatticeDiagram(((COORDINATE_CAP, 0),))).terms

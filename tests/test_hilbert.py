@@ -1,13 +1,15 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from latdiag.combinat import partitions_of, weak_compositions
-from latdiag.diagrams import LatticeDiagram, delta, ferrers, normalize, transpose
+from latdiag.diagrams import LatticeDiagram, delta, ferrers, normalize, parse_diagram, transpose
 from latdiag.errors import ResourceLimitError
-from latdiag.hilbert import HilbertTable, exact_rank, hilbert, total_dimension
+from latdiag.hilbert import CELL_CAP, HilbertTable, _divided_powers, exact_rank, hilbert, total_dimension
 from latdiag.polynomials import Polynomial, diff_operator
+from latdiag.verify import enumerate_universe
 
 
 def naive_rank(rows):
@@ -153,3 +155,71 @@ def test_tsv_and_json():
     obj = table.to_json_obj()
     assert obj["total"] == 6
     assert {(d["x"], d["y"]): d["dim"] for d in obj["dims"]} == dict(table.dims)
+
+
+# -- the closure against the generator product -----------------------------------
+
+DESK = enumerate_universe(3, 3, 3)
+SPAN_INPUTS = [ferrers(mu) for mu in ((4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1))] + [
+    parse_diagram(text)[0] for text in ("0,0;3,0;2,2;0,3", "0,0;1,0;2,2;3,3")]
+
+
+def generator_product_table(diagram):
+    """The table from every monomial derivative of order (X-a, Y-b), each
+    piece ranked as a dense matrix."""
+    base = delta(diagram)
+    n = len(diagram)
+    x_top, y_top = diagram.row_weight, diagram.column_weight
+    entries = []
+    for a in range(x_top + 1):
+        for b in range(y_top + 1):
+            generators = [diff_operator(Polynomial.monomial(n, xe, ye), base)
+                          for xe in weak_compositions(x_top - a, n)
+                          for ye in weak_compositions(y_top - b, n)]
+            basis = sorted({m for g in generators for m in g.terms})
+            rank = exact_rank([[g.coefficient(m) for m in basis] for g in generators])
+            if rank:
+                entries.append(((a, b), rank))
+    return HilbertTable(x_top, y_top, tuple(entries))
+
+
+def test_closure_matches_generator_product():
+    assert len(DESK) == 129
+    for diagram in DESK:
+        assert hilbert(diagram) == generator_product_table(diagram), str(diagram)
+
+
+def test_central_symmetry():
+    for diagram in DESK + tuple(SPAN_INPUTS):
+        table = hilbert(diagram)
+        x_top, y_top = table.x_top, table.y_top
+        for a in range(x_top + 1):
+            for b in range(y_top + 1):
+                assert table.dim(a, b) == table.dim(x_top - a, y_top - b), (str(diagram), a, b)
+
+
+def test_factorial_dimensions_five_and_six_cells():
+    for mu in partitions_of(5):
+        assert total_dimension(ferrers(mu)) == 120, mu
+    for mu in [(3, 3), (3, 2, 1)]:
+        assert total_dimension(ferrers(mu)) == 720, mu
+
+
+def test_cell_cap_before_expansion():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="7"):
+        hilbert(ferrers((4, 4)))
+    # 9 cells of bidegree (4, 16): the degree cap fires before a 9! expansion
+    with pytest.raises(ResourceLimitError, match="degree cap"):
+        hilbert(ferrers((5, 4)), max_cells=9)
+    assert time.perf_counter() - start < 1.0
+    assert CELL_CAP == 7
+
+
+def test_divided_powers_rejects_other_coefficients():
+    # x1^2 y1^3 y2 / 12 is x1^[2] y1^[3] y2^[1], packed 2 bits per exponent
+    assert _divided_powers(Polynomial(2, {(2, 0, 3, 1): Fraction(1, 12)}), 2) == {
+        2 + (3 << 4) + (1 << 6): 1}
+    assert set(_divided_powers(delta(ferrers((2, 1))), 1).values()) == {1, -1}
+    with pytest.raises(RuntimeError):
+        _divided_powers(Polynomial(1, {(2, 0): 1}), 2)
