@@ -75,8 +75,26 @@ def staircase_orbit(lam: Iterable[int]) -> list[tuple[tuple[int, ...], int, tupl
         raise ResourceLimitError(f"staircase orbit has {ell}! terms, cap is {DETERMINANT_CAP}!")
     d = staircase(ell)
     v = [lam_conj[i] + d[i] for i in range(ell)]
-    return [(sigma, permutation_sign(sigma), tuple(v[sigma[i]] - d[i] for i in range(ell)))
-            for sigma in itertools.permutations(range(ell))]
+    return [(sigma, 1 - 2 * odd, tuple(v[sigma[i]] - d[i] for i in range(ell)))
+            for sigma, odd in zip(itertools.permutations(range(ell)), lex_parities(ell))]
+
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+@cache
+def lex_parities(n: int) -> bytes:
+    """Byte k is 1 when the k-th permutation of 0..n-1 in lexicographic order
+    (the order of itertools.permutations) is odd, else 0.
+
+    The factorial-base digits of k are the permutation's Lehmer code, whose
+    sum is its inversion count. So the table for n is n blocks of the table
+    for n-1, flipped in the blocks with an odd leading digit."""
+    if n <= 1:
+        return b"\x00"
+    sub = lex_parities(n - 1)
+    flipped = sub.translate(_FLIP)
+    return b"".join(flipped if d % 2 else sub for d in range(n))
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -5,6 +5,12 @@ store their cells weakly increasing under the lexicographic order that
 compares columns first. Cells with negative coordinates and repeated cells
 are representable (movement rules produce them transiently); both force the
 determinant to vanish.
+
+`delta` expands the determinant in one sweep over the permutations in
+lexicographic order: each sign comes from a per-n parity table
+(`combinat.lex_parities`), and every term shares one of the two
+coefficients +1/prod(p! q!) and -1/prod(p! q!). An LRU cache of
+`DELTA_CACHE_SIZE` entries keeps recent expansions.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .combinat import DETERMINANT_CAP, check_partition, permutation_sign
+from .combinat import DETERMINANT_CAP, check_partition, lex_parities, permutation_sign
 from .errors import ResourceLimitError
 from .polynomials import Polynomial
 
@@ -120,7 +126,12 @@ def complement_cells(diagram: LatticeDiagram, row_bound: int, col_bound: int) ->
     )
 
 
-@lru_cache(maxsize=None)
+# A suite run over the default desk universe asks for 255 distinct diagrams;
+# an 8-cell entry holds 40,320 terms.
+DELTA_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=DELTA_CACHE_SIZE)
 def _delta_expand(cells: tuple[Cell, ...]) -> Polynomial:
     n = len(cells)
     if not epsilon(cells):
@@ -128,15 +139,15 @@ def _delta_expand(cells: tuple[Cell, ...]) -> Polynomial:
     denom = 1
     for p, q in cells:
         denom *= math.factorial(p) * math.factorial(q)
-    scale = Fraction(1, denom)
-    terms: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(n)):
-        sign = permutation_sign(perm)
-        xexp = tuple(cells[perm[i]][0] for i in range(n))
-        yexp = tuple(cells[perm[i]][1] for i in range(n))
-        key = xexp + yexp
-        terms[key] = terms.get(key, 0) + sign
-    return Polynomial(n, {k: scale * v for k, v in terms.items() if v})
+    # Row i of the matrix holds x_i^p y_i^q / (p! q!) in column j, so a
+    # permutation puts x_i^{p_perm(i)} y_i^{q_perm(i)} in its term. The cells
+    # are distinct, so every permutation gives its own monomial, and every
+    # coefficient is one of two shared Fractions, chosen by the parity.
+    coeffs = (Fraction(1, denom), Fraction(-1, denom))
+    rows = [p for p, _ in cells]
+    cols = [q for _, q in cells]
+    keys = map(tuple.__add__, itertools.permutations(rows), itertools.permutations(cols))
+    return Polynomial._trusted(n, dict(zip(keys, map(coeffs.__getitem__, lex_parities(n)))))
 
 
 def delta(diagram: LatticeDiagram, max_cells: int | None = None) -> Polynomial:

@@ -33,6 +33,10 @@ DEGREE_CAP = 12
 # 7-cell Ferrers tables take 15-45 s; an 8-cell delta has eight times the
 # terms (40,320) of a 7-cell one.
 CELL_CAP = 7
+# Rows in one bidegree piece. The largest piece of any 7-cell Ferrers diagram
+# within the caps has 495 rows, (5,2); sparse 7-cell diagrams of high
+# bidegree pass 1,000 rows and then run for minutes.
+PIECE_CAP = 1000
 
 # A polynomial in the divided-power basis: each monomial packed into an int,
 # one fixed-width bit field per exponent with x1 lowest, mapped to its
@@ -150,12 +154,16 @@ def _divided_powers(poly: Polynomial, width: int) -> Row:
 
 def _partials_span(basis: list[Row], shifts: list[int], mask: int) -> list[Row]:
     """Echelon basis of the span of the partials of the basis rows, one
-    partial per exponent field starting at a bit in shifts."""
+    partial per exponent field starting at a bit in shifts. Raises
+    ResourceLimitError as soon as the basis has more than PIECE_CAP rows."""
     pivots: dict[int, Row] = {}
     for row in basis:
         for shift in shifts:
             unit = 1 << shift
             _insert(pivots, {m - unit: c for m, c in row.items() if m >> shift & mask})
+            if len(pivots) > PIECE_CAP:
+                raise ResourceLimitError(
+                    f"a bidegree piece has more than {PIECE_CAP} basis rows")
     return list(pivots.values())
 
 

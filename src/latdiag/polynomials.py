@@ -6,6 +6,13 @@ arithmetic returns fresh objects), so they are safe to share across threads.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
 has an empty term map and reports its degrees as None.
+
+`Polynomial(...)` validates every term it is given: parsed text, builders
+that pass ints, callers outside the package. Results whose terms are valid
+by construction skip that through `Polynomial._trusted`: the arithmetic
+operators, `partial`, `swap_alphabets`, `diff_operator`, `diagonal_action`
+and the Leibniz expansion of `diagrams.delta`. Such a term map has tuples of
+2n nonnegative ints as keys and nonzero Fractions as values.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import getitem
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -52,6 +60,16 @@ class Polynomial:
                     clean[mono] = coeff
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap a term map without validating it: for callers whose keys are
+        tuples of 2n nonnegative ints and whose values are nonzero Fractions
+        by construction. The map is used as is, not copied."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -138,10 +156,10 @@ class Polynomial:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out.get(mono, 0) + coeff
-        return Polynomial(self.nvars, {m: c for m, c in out.items() if c})
+        return Polynomial._trusted(self.nvars, {m: c for m, c in out.items() if c})
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -156,11 +174,11 @@ class Polynomial:
                 for mb, cb in other.terms.items():
                     key = tuple(ea + eb for ea, eb in zip(ma, mb))
                     out[key] = out.get(key, 0) + ca * cb
-            return Polynomial(self.nvars, out)
+            return Polynomial._trusted(self.nvars, {m: c for m, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {m: c * other for m, c in self.terms.items()})
+            return Polynomial._trusted(self.nvars, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -170,54 +188,54 @@ class Polynomial:
     def partial(self, axis: str, index: int) -> "Polynomial":
         """Exact partial derivative with respect to x_index or y_index."""
         pos = _axis_offset(self.nvars, axis, index)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[pos]
-            if e:
-                key = mono[:pos] + (e - 1,) + mono[pos + 1:]
-                out[key] = out.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.nvars, out)
+        # lowering one exponent is injective on the monomials that keep a term
+        return Polynomial._trusted(self.nvars, {
+            mono[:pos] + (e - 1,) + mono[pos + 1:]: coeff * e
+            for mono, coeff in self.terms.items() if (e := mono[pos])})
 
     def swap_alphabets(self) -> "Polynomial":
         """Exchange the x and y alphabets: p(X;Y) -> p(Y;X)."""
         n = self.nvars
-        return Polynomial(n, {m[n:] + m[:n]: c for m, c in self.terms.items()})
+        return Polynomial._trusted(n, {m[n:] + m[:n]: c for m, c in self.terms.items()})
 
     # -- canonical text form --------------------------------------------
 
-    def _term_order(self):
+    def _term_order(self) -> list[Monomial]:
         # total degree descending, then lexicographic on the concatenated
-        # exponent vector; prints "x2 - x1" rather than "-x1 + x2"
-        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+        # exponent vector; prints "x2 - x1" rather than "-x1 + x2". The
+        # second sort is stable, so it keeps the lexicographic order of ties.
+        order = sorted(self.terms)
+        order.sort(key=sum, reverse=True)
+        return order
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         n = self.nvars
-
-        def mono_str(m: Monomial) -> str:
-            parts = []
-            for i in range(n):
-                if m[i]:
-                    parts.append(f"x{i + 1}" + (f"^{m[i]}" if m[i] > 1 else ""))
-            for i in range(n):
-                if m[n + i]:
-                    parts.append(f"y{i + 1}" + (f"^{m[n + i]}" if m[n + i] > 1 else ""))
-            return "*".join(parts)
-
-        pieces = []
-        for mono, coeff in self._term_order():
-            num, den = abs(coeff.numerator), coeff.denominator
-            ms = mono_str(mono)
-            if not ms:
-                body = str(num) + (f"/{den}" if den != 1 else "")
-            else:
-                body = (f"{num}*" if num != 1 else "") + ms + (f"/{den}" if den != 1 else "")
-            pieces.append((coeff < 0, body))
-        first_neg, first_body = pieces[0]
-        chunks = [("-" if first_neg else "") + first_body]
-        for neg, body in pieces[1:]:
-            chunks.append(("- " if neg else "+ ") + body)
+        top = max(map(max, terms))
+        # factors[pos][e] is the text of one variable factor, "x3^2"; "" for e = 0
+        factors = [[""] + [f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in range(1, top + 1)]
+                   for v in "xy" for i in range(1, n + 1)]
+        # The text of each coefficient is made once: (sign, numerator alone,
+        # numerator before a monomial, denominator). Keyed by id, which is
+        # sound because self.terms keeps every coefficient alive meanwhile;
+        # delta(L) shares two Fraction objects across all its terms.
+        texts: dict[int, tuple[str, str, str, str]] = {}
+        chunks = []
+        for mono in self._term_order():
+            coeff = terms[mono]
+            text = texts.get(id(coeff))
+            if text is None:
+                num, den = abs(coeff.numerator), coeff.denominator
+                text = texts[id(coeff)] = ("- " if coeff < 0 else "+ ", str(num),
+                                           f"{num}*" if num != 1 else "",
+                                           f"/{den}" if den != 1 else "")
+            sign, alone, lead, tail = text
+            ms = "*".join(filter(None, map(getitem, factors, mono)))
+            chunks.append(sign + (lead + ms if ms else alone) + tail)
+        first = chunks[0]
+        chunks[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(chunks)
 
     def __repr__(self) -> str:
@@ -245,7 +263,7 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
             else:
                 k = tuple(key)
                 out[k] = out.get(k, 0) + coeff
-    return Polynomial(target.nvars, {m: c for m, c in out.items() if c})
+    return Polynomial._trusted(target.nvars, {m: c for m, c in out.items() if c})
 
 
 def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:
@@ -265,7 +283,7 @@ def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:
             xe[sig[i] - 1] = mono[i]
             ye[sig[i] - 1] = mono[n + i]
         out[tuple(xe) + tuple(ye)] = coeff
-    return Polynomial(n, out)
+    return Polynomial._trusted(n, out)
 
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<var>[xy]\d+)|(?P<sym>[*^/+-])")

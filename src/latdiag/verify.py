@@ -116,8 +116,9 @@ def _compare(op: str, param, diagram: LatticeDiagram, axis: str,
     match = expected == actual
     witness = None
     if not match:
-        mono, coeff = (expected - actual)._term_order()[0]
-        witness = str(Polynomial(expected.nvars, {mono: coeff}))
+        difference = expected - actual
+        mono = difference._term_order()[0]
+        witness = str(Polynomial(expected.nvars, {mono: difference.terms[mono]}))
     return VerificationReport(op, param, diagram, axis, expected, actual, match, witness)
 
 

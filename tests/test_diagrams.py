@@ -1,14 +1,19 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latdiag.combinat import lex_parities, permutation_sign
 from latdiag.diagrams import (
     COORDINATE_CAP,
     LatticeDiagram,
     SignedDiagramSum,
+    _delta_expand,
     complement_cells,
     delta,
     epsilon,
@@ -19,7 +24,8 @@ from latdiag.diagrams import (
     transpose,
 )
 from latdiag.errors import ResourceLimitError
-from latdiag.polynomials import Polynomial, diagonal_action
+from latdiag.polynomials import Polynomial, diagonal_action, diff_operator
+from latdiag.verify import enumerate_universe
 
 
 def brute_force_sign(cells):
@@ -278,3 +284,67 @@ def test_delta_coordinate_cap():
         delta(LatticeDiagram(((3000000, 0),)))
     assert time.perf_counter() - start < 1.0
     assert delta(LatticeDiagram(((COORDINATE_CAP, 0),))).terms
+
+
+# -- the Leibniz sweep against the loop it replaced ----------------------------
+
+
+def leibniz_reference(cells):
+    """delta's first Leibniz loop: a sign from the cycle type of each
+    permutation, a Fraction per term, and the validating constructor."""
+    n = len(cells)
+    if not epsilon(cells):
+        return Polynomial.zero(n)
+    denom = 1
+    for p, q in cells:
+        denom *= math.factorial(p) * math.factorial(q)
+    terms = {}
+    for perm in itertools.permutations(range(n)):
+        key = tuple(cells[j][0] for j in perm) + tuple(cells[j][1] for j in perm)
+        terms[key] = terms.get(key, 0) + permutation_sign(perm)
+    return Polynomial(n, {k: Fraction(v, denom) for k, v in terms.items() if v})
+
+
+DESK = enumerate_universe(4, 3, 3)
+EIGHT_CELLS, _ = parse_diagram("0,0;1,0;3,0;3,1;0,2;1,2;2,2;1,3")
+
+
+def test_lex_parities_match_permutation_sign():
+    for n in range(7):
+        parities = lex_parities(n)
+        perms = list(itertools.permutations(range(n)))
+        assert len(parities) == len(perms)
+        assert [1 - 2 * odd for odd in parities] == [permutation_sign(p) for p in perms]
+
+
+def test_delta_matches_reference_loop():
+    assert len(DESK) == 255
+    for diagram in DESK + (EIGHT_CELLS,):
+        poly, reference = delta(diagram), leibniz_reference(diagram.cells)
+        assert poly.terms == reference.terms, str(diagram)
+        assert str(poly) == str(reference), str(diagram)
+    assert len(delta(EIGHT_CELLS).terms) == 40320
+
+
+def test_trusted_results_revalidate_unchanged():
+    polys = [delta(d) for d in DESK if len(d) == 3]
+    for p in polys:
+        assert Polynomial(p.nvars, p.terms) == p
+    for a, b in zip(polys, polys[1:]):
+        for result in (a + b, a - b, -a, a * b, Fraction(-3, 2) * a,
+                       diff_operator(a, b), diff_operator(b, a)):
+            assert Polynomial(result.nvars, result.terms) == result
+
+
+def test_delta_cache_covers_the_desk_universe():
+    assert _delta_expand.cache_info().maxsize >= len(DESK)
+
+
+cells_lists = st.lists(st.tuples(st.integers(-3, 20), st.integers(-3, 20)), min_size=1, max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells_lists)
+def test_diagram_text_round_trip(cells):
+    diagram, _ = normalize(cells)
+    assert parse_diagram(str(diagram)) == (diagram, 1)

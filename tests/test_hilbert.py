@@ -1,3 +1,4 @@
+import importlib
 import math
 import time
 from fractions import Fraction
@@ -10,6 +11,8 @@ from latdiag.errors import ResourceLimitError
 from latdiag.hilbert import CELL_CAP, HilbertTable, _divided_powers, exact_rank, hilbert, total_dimension
 from latdiag.polynomials import Polynomial, diff_operator
 from latdiag.verify import enumerate_universe
+
+hilbert_module = importlib.import_module("latdiag.hilbert")
 
 
 def naive_rank(rows):
@@ -223,3 +226,13 @@ def test_divided_powers_rejects_other_coefficients():
     assert set(_divided_powers(delta(ferrers((2, 1))), 1).values()) == {1, -1}
     with pytest.raises(RuntimeError):
         _divided_powers(Polynomial(1, {(2, 0): 1}), 2)
+
+
+def test_piece_cap_fails_fast(monkeypatch):
+    diagram, _ = parse_diagram("0,0;3,0;2,2;0,3")
+    assert max(dim for _, dim in hilbert(diagram).dims) == 100
+    monkeypatch.setattr(hilbert_module, "PIECE_CAP", 50)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="50"):
+        hilbert(diagram)
+    assert time.perf_counter() - start < 1.0

@@ -199,3 +199,44 @@ def test_diagonal_action_is_a_group_action(p, sigma, tau):
 @given(polynomials())
 def test_text_round_trip(p):
     assert parse_polynomial(str(p), p.nvars) == p
+
+
+coefficients = st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 40))
+
+
+@st.composite
+def wide_polynomials(draw, nvars):
+    """Exponents up to 12 and coefficients of any sign and numerator, with or
+    without a constant term."""
+    monomials = st.tuples(*[st.integers(0, 12)] * (2 * nvars))
+    terms = draw(st.dictionaries(monomials, coefficients, max_size=6))
+    if draw(st.booleans()):
+        terms[(0,) * (2 * nvars)] = draw(coefficients)
+    return Polynomial(nvars, terms)
+
+
+def polynomial_pairs():
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(wide_polynomials(n), wide_polynomials(n)))
+
+
+def assert_canonical(p):
+    for mono, coeff in p.terms.items():
+        assert type(mono) is tuple and len(mono) == 2 * p.nvars
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert type(coeff) is Fraction and coeff != 0
+    assert Polynomial(p.nvars, p.terms) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(wide_polynomials))
+def test_text_round_trip_wide(p):
+    assert parse_polynomial(str(p), p.nvars) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_pairs(), coefficients)
+def test_arithmetic_keeps_invariants(pair, c):
+    a, b = pair
+    for result in (a + b, a - b, -a, a * b, c * a, a * 3, diff_operator(a, b),
+                   a.partial("y", 1), a.swap_alphabets()):
+        assert_canonical(result)
