@@ -201,7 +201,6 @@ def _insert(pivots: dict[int, Row], row: Row) -> None:
                 row = {m: c // g for m, c in row.items()}
 
 
-def total_dimension(diagram: LatticeDiagram, degree_cap: int = DEGREE_CAP,
-                    max_cells: int = CELL_CAP) -> int:
+def total_dimension(diagram: LatticeDiagram) -> int:
     """Dimension of the full derivative span (the n! value for Ferrers diagrams)."""
-    return hilbert(diagram, degree_cap=degree_cap, max_cells=max_cells).total
+    return hilbert(diagram).total

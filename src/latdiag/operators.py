@@ -215,9 +215,11 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
     return _on_axis(rule, diagram, axis, sum(lam))
 
 
-def expand(total: SignedDiagramSum, max_cells: int | None = None) -> Polynomial:
+def expand(total: SignedDiagramSum) -> Polynomial:
     """Replace every diagram by its determinant: the polynomial the sum denotes."""
-    result = Polynomial.zero(total.ncells)
+    out: dict = {}
     for d, c in total.items():
-        result = result + c * delta(d, max_cells=max_cells)
-    return result
+        for mono, coeff in delta(d).terms.items():
+            out[mono] = out.get(mono, 0) + c * coeff
+    terms = {m: v for m, v in out.items() if v}
+    return Polynomial._trusted(total.ncells, terms) if terms else Polynomial.zero(total.ncells)

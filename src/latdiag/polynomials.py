@@ -13,6 +13,12 @@ by construction skip that through `Polynomial._trusted`: the arithmetic
 operators, `partial`, `swap_alphabets`, `diff_operator`, `diagonal_action`
 and the Leibniz expansion of `diagrams.delta`. Such a term map has tuples of
 2n nonnegative ints as keys and nonzero Fractions as values.
+
+The text form, written by str(P) and read by parse_polynomial: one or more
+terms, with an optional sign before the first and "+" or "-" between terms.
+A term is factors joined by "*", each an integer or a variable x<i> or y<i>
+(1 <= i <= n) with an optional "^e", then an optional "/den" with den > 0.
+Whitespace may separate any two tokens; "−" reads as "-"; "0" is zero.
 """
 
 from __future__ import annotations
@@ -286,94 +292,36 @@ def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:
     return Polynomial._trusted(n, out)
 
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<var>[xy]\d+)|(?P<sym>[*^/+-])")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"unexpected character {text[pos]!r} in polynomial text")
-        tokens.append((m.lastgroup, m.group()))
-        pos = m.end()
-    return tokens
+# One term of the text form in the module docstring; the sign is optional on
+# the first term only.
+_FACTOR = r"(?:\d+|[xy]\d+(?:\s*\^\s*\d+)?)"
+_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)(?:\s*/\s*(\d+))?\s*")
+_FACTOR_RE = re.compile(r"(\d+)|([xy])(\d+)(?:\s*\^\s*(\d+))?")
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse the canonical text form produced by str(Polynomial).
 
-    Accepts the ASCII minus "-" and the typographic minus "−".
+    Raises ValueError on text outside the grammar in the module docstring.
     """
-    tokens = _tokenize(text.replace("−", "-"))
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    text = text.replace("−", "-")
     terms: dict[Monomial, Fraction] = {}
-    i = 0
-
-    def parse_term() -> tuple[Fraction, Monomial]:
-        nonlocal i
-        num = 1
-        den = 1
-        exps = [0] * (2 * nvars)
-        saw_factor = False
-        while i < len(tokens):
-            kind, value = tokens[i]
-            if kind == "int":
-                num *= int(value)
-                saw_factor = True
-                i += 1
-            elif kind == "var":
-                axis, index = value[0], int(value[1:])
-                pos = _axis_offset(nvars, axis, index)
-                i += 1
-                e = 1
-                if i < len(tokens) and tokens[i] == ("sym", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "int":
-                        raise ValueError("expected integer exponent after '^'")
-                    e = int(tokens[i][1])
-                    i += 1
-                exps[pos] += e
-                saw_factor = True
-            else:
-                break
-            if i < len(tokens) and tokens[i] == ("sym", "*"):
-                i += 1
-                continue
-            if i < len(tokens) and tokens[i] == ("sym", "/"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "int":
-                    raise ValueError("expected integer denominator after '/'")
-                den = int(tokens[i][1])
-                i += 1
-                break
-            break
-        if not saw_factor:
-            raise ValueError("expected a term")
-        return Fraction(num, den), tuple(exps)
-
-    sign = 1
-    if tokens[0] == ("sym", "-"):
-        sign = -1
-        i = 1
-    elif tokens[0] == ("sym", "+"):
-        i = 1
+    pos = 0
     while True:
-        coeff, mono = parse_term()
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-        if i >= len(tokens):
-            break
-        kind, value = tokens[i]
-        if (kind, value) == ("sym", "+"):
-            sign = 1
-        elif (kind, value) == ("sym", "-"):
-            sign = -1
-        else:
-            raise ValueError(f"unexpected token {value!r} in polynomial text")
-        i += 1
-    return Polynomial(nvars, terms)
+        m = _TERM_RE.match(text, pos)
+        if not m or (pos and not m[1]):
+            raise ValueError(f"malformed polynomial text at position {pos}: {text[pos:pos + 20]!r}")
+        num, exps = 1, [0] * (2 * nvars)
+        for integer, axis, index, power in _FACTOR_RE.findall(m[2]):
+            if integer:
+                num *= int(integer)
+            else:
+                exps[_axis_offset(nvars, axis, int(index))] += int(power or 1)
+        den = int(m[3] or 1)
+        if not den:
+            raise ValueError(f"zero denominator in the term {m[0].strip()!r}")
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + Fraction(-num if m[1] == "-" else num, den)
+        pos = m.end()
+        if pos == len(text):
+            return Polynomial(nvars, terms)

@@ -284,14 +284,28 @@ def test_tableaux_one_row_listing_at_once(capsys):
     assert len(out.strip().splitlines()) == 455
 
 
+EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--op", "s", "--param", "14", "--diagram", "0,0;1,0;2,0;3,0"),
     ("tableaux", "--families", "--shape", ",".join(["1"] * 12), "--max-entry", "10"),
+    ("verify", "--op", "s", "--param", "9", "--diagram", EIGHT_IN_A_COLUMN),
+    ("verify", "--op", "s", "--param", "3,3,3", "--diagram", EIGHT_IN_A_COLUMN),
+    ("verify", "--op", "h", "--param", "25", "--diagram", EIGHT_IN_A_COLUMN),
+    ("verify", "--op", "h", "--param", "12", "--diagram", "0,0;0,1;0,2;0,3;0,4;0,5;0,6;12,0"),
 ])
 def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)
     assert code == 2
     assert "cap" in err
+
+
+def test_oracle_cap_admits_a_first_degree_operator_on_eight_cells(capsys):
+    code, out, _ = run(capsys, "verify", "--op", "p", "--param", "1",
+                       "--diagram", "1,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7")
+    assert code == 0
+    assert "PASS" in out
 
 
 @pytest.mark.parametrize("argv", [

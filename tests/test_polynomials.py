@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latdiag.diagrams import delta, parse_diagram
 from latdiag.polynomials import (
     Polynomial,
     diagonal_action,
     diff_operator,
     parse_polynomial,
 )
+from latdiag.verify import enumerate_universe
 
 
 def x(n, i):
@@ -240,3 +242,37 @@ def test_arithmetic_keeps_invariants(pair, c):
     for result in (a + b, a - b, -a, a * b, c * a, a * 3, diff_operator(a, b),
                    a.partial("y", 1), a.swap_alphabets()):
         assert_canonical(result)
+
+
+# -- the text grammar ---------------------------------------------------------
+
+# Each string below raised ValueError at the parent of the term-grammar parser
+# too, except "x1*" and "x1*+x2" (read as x1 and x1 + x2 before) and "x1/0"
+# (ZeroDivisionError before).
+MALFORMED = ["", "  ", "+", "x1 +", "- -x1", "x1 x2", "2 3", "x1^", "x1/", "x1^2^3",
+             "1/2/3", "x1 & x2", "x9", "x1*", "x1*+x2", "x1/0"]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text, 2)
+
+
+def test_parse_accepts_whitespace_between_tokens():
+    expected = Polynomial.monomial(2, (2, 1), (0, 1), Fraction(-3, 4)) + x(2, 2)
+    assert parse_polynomial(" - 3 * x1 ^ 2 * x2 * y2 / 4 + x2 ", 2) == expected
+    assert parse_polynomial("−3*x1^2*x2*y2/4+x2", 2) == expected
+
+
+def test_parse_reads_back_every_desk_delta():
+    for diagram in enumerate_universe(4, 3, 3):
+        poly = delta(diagram)
+        assert parse_polynomial(str(poly), len(diagram)) == poly, diagram
+
+
+def test_parse_reads_back_an_eight_cell_delta():
+    diagram, _ = parse_diagram("0,0;1,0;3,0;3,1;0,2;1,2;2,2;1,3")
+    poly = delta(diagram)
+    assert len(poly.terms) == 40320
+    assert parse_polynomial(str(poly), 8) == poly
