@@ -1,8 +1,11 @@
 """Command-line front end.
 
+Each subcommand handler returns (exit code, JSON object, text) and prints
+nothing on stdout; `main` prints json.dumps of the object under --json and
+the text otherwise (nothing when the text is empty), then returns the code.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or parse
-errors. All output is deterministic; --json switches any subcommand to a
-machine-readable report on stdout.
+errors and on a refused cap, reported as "error: ..." on stderr. All output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -46,97 +49,67 @@ def _operator_param(op: str, text: str):
     if op == "s":
         return parse_partition(text)
     try:
-        k = int(text)
+        return int(text)
     except ValueError as exc:
         raise ValueError(f"operator {op!r} needs an integer parameter, got {text!r}") from exc
-    if k < 1:
-        raise ValueError(f"operator {op!r} needs a parameter >= 1, got {k}")
-    return k
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args) -> tuple[int, dict, str]:
     diagram = _load_diagram(args.diagram)
-    poly = delta(diagram)
-    if args.json:
-        print(json.dumps({"diagram": str(diagram), "polynomial": str(poly)}))
-    else:
-        print(poly)
-    return 0
+    poly = str(delta(diagram))
+    return 0, {"diagram": str(diagram), "polynomial": poly}, poly
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple[int, dict, str]:
     diagram = _load_diagram(args.diagram)
-    param = _operator_param(args.op, args.param)
-    total = combinatorial_sum(args.op, param, diagram, args.axis)
-    if args.json:
-        obj = total.to_json_obj()
-        if args.expand:
-            obj["polynomial"] = str(expand(total))
-        print(json.dumps(obj))
-        return 0
-    print(total)
+    total = combinatorial_sum(args.op, _operator_param(args.op, args.param), diagram, args.axis)
+    obj, text = total.to_json_obj(), str(total)
     if args.expand:
-        print(f"expanded: {expand(total)}")
-    return 0
+        obj["polynomial"] = str(expand(total))
+        text += f"\nexpanded: {obj['polynomial']}"
+    return 0, obj, text
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, str]:
     diagram = _load_diagram(args.diagram)
-    param = _operator_param(args.op, args.param)
-    report = verify_instance(args.op, param, diagram, args.axis)
-    if args.json:
-        print(json.dumps(report.to_json_obj()))
-    else:
-        print(report.describe())
-    return 0 if report.match else 1
+    report = verify_instance(args.op, _operator_param(args.op, args.param), diagram, args.axis)
+    return 0 if report.match else 1, report.to_json_obj(), report.describe()
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple[int, dict, str]:
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             cfg = parse_suite_config(handle.read())
     else:
         cfg = SuiteConfig()
     overrides = {}
-    for key in ("max_cells", "box_rows", "box_cols", "max_weight"):
+    for key in ("max_cells", "box_rows", "box_cols", "max_weight", "axes", "operators"):
         value = getattr(args, key)
+        if isinstance(value, str):
+            value = tuple(v.strip() for v in value.split(",") if v.strip())
         if value is not None:
             overrides[key] = value
-    for key in ("axes", "operators"):
-        text = getattr(args, key)
-        if text is not None:
-            overrides[key] = tuple(v.strip() for v in text.split(",") if v.strip())
     if args.no_fail_fast:
         overrides["fail_fast"] = False
     summary = run_suite(replace(cfg, **overrides), corrupt_stage_order=args.corrupt_stage_order)
-    if args.json:
-        print(json.dumps(summary.to_json_obj()))
-    else:
-        print(summary.describe())
-    return 0 if summary.ok else 1
+    return 0 if summary.ok else 1, summary.to_json_obj(), summary.describe()
 
 
-def _cmd_tableaux(args) -> int:
+def _cmd_tableaux(args) -> tuple[int, dict, str]:
     if args.families:
         shape = tuple(int(v) for v in args.shape.split(","))
         items = enumerate_column_families(shape, args.max_entry)
     else:
-        shape = parse_partition(args.shape)
-        items = enumerate_cs_tableaux(shape, args.max_entry)
-    if args.json:
-        print(json.dumps({"count": len(items), "tableaux": [str(t) for t in items]}))
-        return 0
-    for t in items:
-        print(t)
-    return 0
+        items = enumerate_cs_tableaux(parse_partition(args.shape), args.max_entry)
+    rendered = [str(t) for t in items]
+    return 0, {"count": len(items), "tableaux": rendered}, "\n".join(rendered)
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args) -> tuple[int, dict, str]:
     tableau = parse_tableau(args.tableau)
     lam = parse_partition(args.shape_lambda)
     step = psi_step(tableau, lam)
-    again = psi_step(step.result, lam)
-    involution_ok = again.result == tableau
+    involution_ok = psi_step(step.result, lam).result == tableau
     obj = {
         "input": str(tableau),
         "result": str(step.result),
@@ -147,6 +120,13 @@ def _cmd_psi(args) -> int:
         "result_orbit_sign": shape_orbit_sign(step.result.shape, lam),
         "involution_ok": involution_ok,
     }
+    lines = [
+        f"input: {obj['input']}",
+        f"result: {obj['result']}",
+        f"fixed: {'yes (column-strict Young tableau)' if step.fixed else 'no'}",
+        f"shape: {obj['shape']} -> {obj['result_shape']}",
+        f"orbit sign: {obj['orbit_sign']:+d} -> {obj['result_orbit_sign']:+d}",
+    ]
     if not step.fixed:
         i, j = step.pair
         obj.update({
@@ -156,35 +136,29 @@ def _cmd_psi(args) -> int:
             "parens_before": step.before.marks_str(),
             "parens_after": step.after.marks_str(),
         })
-    if args.json:
-        print(json.dumps(obj))
-        return 0 if involution_ok else 1
-    print(f"input: {obj['input']}")
-    print(f"result: {obj['result']}")
-    print(f"fixed: {'yes (column-strict Young tableau)' if step.fixed else 'no'}")
-    print(f"shape: {obj['shape']} -> {obj['result_shape']}")
-    print(f"orbit sign: {obj['orbit_sign']:+d} -> {obj['result_orbit_sign']:+d}")
-    if not step.fixed:
-        print(f"moved columns: {obj['moved_columns']} (violating row {obj['row']}, from bottom)")
-        print(f"word: {obj['word']}")
-        print(f"parens: {obj['parens_before']} -> {obj['parens_after']}")
-    print(f"involution check: {'ok' if involution_ok else 'FAILED'}")
-    return 0 if involution_ok else 1
+        lines += [
+            f"moved columns: {obj['moved_columns']} (violating row {i}, from bottom)",
+            f"word: {obj['word']}",
+            f"parens: {obj['parens_before']} -> {obj['parens_after']}",
+        ]
+    lines.append(f"involution check: {'ok' if involution_ok else 'FAILED'}")
+    return 0 if involution_ok else 1, obj, "\n".join(lines)
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> tuple[int, dict, str]:
     table = hilbert(_load_diagram(args.diagram))
-    if args.json:
-        print(json.dumps(table.to_json_obj()))
-        return 0
-    print(table.to_tsv())
-    print(f"total: {table.total}")
-    return 0
+    return 0, table.to_json_obj(), f"{table.to_tsv()}\ntotal: {table.total}"
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--op", required=True, choices=OP_KINDS)
+    instance.add_argument("--param", required=True,
+                          help="integer for p/e/h, partition like 2,1 for s")
+    instance.add_argument("--axis", default="x", choices=("x", "y"))
+    instance.add_argument("--diagram", required=True)
 
     parser = argparse.ArgumentParser(
         prog="latdiag",
@@ -197,23 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta.add_argument("--diagram", required=True, help='cells, e.g. "0,0;1,0"')
     p_delta.set_defaults(func=_cmd_delta)
 
-    p_apply = sub.add_parser("apply", parents=[common],
+    p_apply = sub.add_parser("apply", parents=[common, instance],
                              help="apply an operator by the cell-movement rule")
-    p_apply.add_argument("--op", required=True, choices=OP_KINDS)
-    p_apply.add_argument("--param", required=True,
-                         help="integer for p/e/h, partition like 2,1 for s")
-    p_apply.add_argument("--axis", default="x", choices=("x", "y"))
-    p_apply.add_argument("--diagram", required=True)
     p_apply.add_argument("--expand", action="store_true",
                          help="also print the expanded polynomial")
     p_apply.set_defaults(func=_cmd_apply)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, instance],
                               help="check one rule against symbolic differentiation")
-    p_verify.add_argument("--op", required=True, choices=OP_KINDS)
-    p_verify.add_argument("--param", required=True)
-    p_verify.add_argument("--axis", default="x", choices=("x", "y"))
-    p_verify.add_argument("--diagram", required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_suite = sub.add_parser("suite", parents=[common],
@@ -255,13 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, obj, text = args.func(args)
     except (ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(obj))
+    elif text:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -150,19 +150,19 @@ def _delta_expand(cells: tuple[Cell, ...]) -> Polynomial:
     return Polynomial._trusted(n, dict(zip(keys, map(coeffs.__getitem__, lex_parities(n)))))
 
 
-def delta(diagram: LatticeDiagram, max_cells: int | None = None) -> Polynomial:
+def delta(diagram: LatticeDiagram) -> Polynomial:
     """The lattice diagram determinant with entries x_i^{p_j} y_i^{q_j} / (p_j! q_j!).
 
     Returns the zero polynomial when the diagram has a repeated cell or a
     negative coordinate. Expanded by the Leibniz sum: every matrix entry is a
-    single monomial, so each permutation contributes one term.
+    single monomial, so each permutation contributes one term. Raises
+    ResourceLimitError above DETERMINANT_CAP cells or COORDINATE_CAP.
     """
-    cap = DETERMINANT_CAP if max_cells is None else max_cells
     n = len(diagram)
     if n < 1:
         raise ValueError("determinant needs at least one cell")
-    if n > cap:
-        raise ResourceLimitError(f"diagram has {n} cells, expansion cap is {cap}")
+    if n > DETERMINANT_CAP:
+        raise ResourceLimitError(f"diagram has {n} cells, expansion cap is {DETERMINANT_CAP}")
     if max(max(cell) for cell in diagram.cells) > COORDINATE_CAP:
         raise ResourceLimitError(f"a coordinate of {diagram} exceeds the cap {COORDINATE_CAP}")
     return _delta_expand(diagram.cells)

@@ -110,18 +110,20 @@ class HilbertTable:
         }
 
 
-def hilbert(diagram: LatticeDiagram, degree_cap: int = DEGREE_CAP,
-            max_cells: int = CELL_CAP) -> HilbertTable:
-    """The bigraded Hilbert series of the derivative span, as a table."""
+def hilbert(diagram: LatticeDiagram) -> HilbertTable:
+    """The bigraded Hilbert series of the derivative span, as a table. Raises
+    ResourceLimitError above DEGREE_CAP or CELL_CAP before expanding delta."""
     if not epsilon(diagram):
         raise ValueError("derivative span needs n distinct cells in the positive quadrant")
     x_top = diagram.row_weight
     y_top = diagram.column_weight
-    if x_top > degree_cap or y_top > degree_cap:
+    if x_top > DEGREE_CAP or y_top > DEGREE_CAP:
         raise ResourceLimitError(
-            f"bidegree ({x_top}, {y_top}) exceeds the degree cap {degree_cap}")
+            f"bidegree ({x_top}, {y_top}) exceeds the degree cap {DEGREE_CAP}")
     n = len(diagram)
-    base = delta(diagram, max_cells=max_cells)
+    if n > CELL_CAP:
+        raise ResourceLimitError(f"diagram has {n} cells, expansion cap is {CELL_CAP}")
+    base = delta(diagram)
     width = max(map(max, base.terms)).bit_length() or 1
     mask = (1 << width) - 1
     shifts = [width * pos for pos in range(2 * n)]

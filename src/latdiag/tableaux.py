@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .combinat import check_partition, conjugate, staircase_orbit
+from .combinat import check_partition, conjugate, permutation_sign, staircase
 from .errors import ResourceLimitError
 
 
@@ -249,13 +249,19 @@ def shape_orbit_sign(alpha: tuple[int, ...], lam: tuple[int, ...]) -> int:
 
     alpha lies in the orbit when alpha + staircase rearranges
     conjugate(lam) + staircase; the rearrangement is unique because the
-    target is strictly decreasing. Raises ValueError outside the orbit.
+    target is strictly decreasing, so its sign is read off without walking
+    the orbit. Raises ValueError outside the orbit.
     """
     alpha = tuple(int(a) for a in alpha)
-    for _, sign, shape in staircase_orbit(lam):
-        if shape == alpha:
-            return sign
-    raise ValueError(f"shape {alpha} is not in the orbit of {lam}")
+    lam_conj = conjugate(lam)
+    if not lam_conj:
+        raise ValueError("need a nonempty partition")
+    d = staircase(len(lam_conj))
+    position = {c + s: i for i, (c, s) in enumerate(zip(lam_conj, d))}
+    shifted = [a + s for a, s in zip(alpha, d)]
+    if len(alpha) != len(d) or sorted(shifted) != sorted(position):
+        raise ValueError(f"shape {alpha} is not in the orbit of {lam}")
+    return permutation_sign([position[v] for v in shifted])
 
 
 @dataclass(frozen=True)

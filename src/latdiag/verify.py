@@ -33,10 +33,9 @@ from .symmetric import elementary, homogeneous, power_sum, schur_jacobi_trudi
 from .tableaux import ColumnTableau, enumerate_cs_tableaux
 
 OP_KINDS = ("p", "e", "h", "s")
-# Cap on comb(n+k-1, k) * n!: the most monomials a degree-k operator in n
-# variables can have, times the n! terms of delta, bounds the term pairs
-# diff_operator visits. `latdiag verify` timed on CPython 3.11, one Xeon core:
-# p_1 on 8 cells (bound 322,560) and h_3 on 7 (423,360) take 4 s; s_(8) on 6
+# Cap on the term pairs diff_operator visits: the operator's monomials times
+# the n! terms of delta. `latdiag verify` timed on CPython 3.11, one Xeon core:
+# p_2 on 8 cells (bound 322,560) and h_3 on 7 (423,360) take 3-4 s; s_(8) on 6
 # (926,640) takes 11 s and h_2 on 8 (1,451,520) 17 s.
 ORACLE_CAP = 500_000
 
@@ -44,14 +43,18 @@ ORACLE_CAP = 500_000
 def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     """The symmetric polynomial whose derivative operator an instance tests.
 
-    Raises ResourceLimitError, before building anything, when the work bound
-    comb(n+k-1, k) * n! of a degree-k operator exceeds ORACLE_CAP."""
+    Raises ValueError for a p, e or h degree below 1, and ResourceLimitError
+    before building anything when its monomials (n for p, comb(n, k) for e,
+    at most comb(n+k-1, k) otherwise) times n! exceed ORACLE_CAP."""
     check_axis(axis)
     if op not in OP_KINDS + ("ea",):
         raise ValueError(f"unknown operator kind {op!r}")
     parts = check_partition(param) if op == "s" else tuple(map(int, param if op == "ea" else (param,)))
     k = sum(parts)
-    if k > 0 and math.comb(n + k - 1, k) * math.factorial(n) > ORACLE_CAP:
+    if op in ("p", "e", "h") and k < 1:
+        raise ValueError(f"operator {op!r} needs a parameter >= 1, got {k}")
+    monomials = n if op == "p" else math.comb(n, k) if op == "e" else math.comb(n + k - 1, k)
+    if k > 0 and monomials * math.factorial(n) > ORACLE_CAP:
         raise ResourceLimitError(f"the oracle for degree {k} on {n} cells exceeds the cap {ORACLE_CAP}")
     if op == "s":
         poly = schur_jacobi_trudi(parts, n)
@@ -122,8 +125,8 @@ class VerificationReport:
 
 def _compare(op: str, param, diagram: LatticeDiagram, axis: str,
              rule: Callable[..., SignedDiagramSum]) -> VerificationReport:
-    # The oracle comes first: operator_polynomial refuses an instance over
-    # ORACLE_CAP before the rule runs.
+    # The oracle comes first: operator_polynomial refuses a p, e or h degree
+    # below 1 and an instance over ORACLE_CAP before delta or the rule runs.
     expected = diff_operator(operator_polynomial(op, param, len(diagram), axis), delta(diagram))
     actual = expand(rule(param, diagram, axis))
     match = expected == actual

@@ -325,3 +325,54 @@ def test_hilbert_six_cell_ferrers(capsys):
     assert time.perf_counter() - start < 10.0
     assert code == 0
     assert out.splitlines()[-1] == "total: 720"
+
+
+SEVEN_CELLS = "0,0;1,0;2,0;3,0;0,1;1,1;2,1"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("psi", "--tableau", "|".join(["1"] * 10), "--shape-lambda", "10"), "involution check: ok"),
+    (("psi", "--tableau", "|".join(["1"] * 12), "--shape-lambda", "12"), "involution check: ok"),
+    (("verify", "--op", "p", "--param", "4", "--diagram", SEVEN_CELLS), "PASS"),
+])
+def test_uncapped_commands_finish_at_once(capsys, argv, expected):
+    code, out, _ = timed_run(capsys, *argv)
+    assert code == 0
+    assert expected in out
+
+
+# -- one output path ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (("delta", "--diagram", "0,0;2,0"), 0,
+     {"diagram": "0,0;2,0", "polynomial": "x2^2/2 - x1^2/2"}),
+    (("verify", "--op", "s", "--param", "2,1", "--diagram", "0,0;1,0;0,1"), 0,
+     {"op": "s", "param": "2,1", "diagram": "0,0;1,0;0,1", "axis": "x", "match": True}),
+    (("suite", "--max-cells", "2", "--max-weight", "1"), 0,
+     {"total": 360, "passed": 360, "failed": 0}),
+    (("suite", "--max-cells", "3", "--max-weight", "2", "--axes", "x", "--operators", "s",
+      "--corrupt-stage-order"), 1,
+     {"total": None, "passed": None, "failed": 1, "first_failure": None}),
+    (("hilbert", "--diagram", "0,0;1,0;0,1"), 0,
+     {"x_top": 1, "y_top": 1, "total": 6, "dims": None}),
+])
+def test_json_reports_parse(capsys, argv, code, expected):
+    # None marks a key that must be present with any value
+    got_code, out, _ = run(capsys, *argv, "--json")
+    assert got_code == code
+    obj = json.loads(out)
+    assert set(obj) == set(expected)
+    assert {k: v for k, v in obj.items() if expected[k] is not None} == {
+        k: v for k, v in expected.items() if v is not None}
+
+
+@pytest.mark.parametrize("command", ["apply", "verify"])
+@pytest.mark.parametrize("op", ["p", "e", "h"])
+def test_param_zero_exit_2_at_once(capsys, command, op):
+    # the oracle refuses degree 0 before it expands the 9! terms of delta
+    code, out, err = timed_run(capsys, command, "--op", op, "--param", "0",
+                               "--diagram", "0,0;1,0;2,0;3,0;4,0;0,1;1,1;2,1;3,1")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -26,6 +27,8 @@ from latdiag.diagrams import (
 from latdiag.errors import ResourceLimitError
 from latdiag.polynomials import Polynomial, diagonal_action, diff_operator
 from latdiag.verify import enumerate_universe
+
+diagrams_module = importlib.import_module("latdiag.diagrams")
 
 
 def brute_force_sign(cells):
@@ -178,10 +181,11 @@ def test_delta_bihomogeneous():
     assert delta(diagram).bidegree() == (diagram.row_weight, diagram.column_weight)
 
 
-def test_delta_cap():
+def test_delta_cap(monkeypatch):
     diagram, _ = normalize([(p, 0) for p in range(5)])
+    monkeypatch.setattr(diagrams_module, "DETERMINANT_CAP", 4)
     with pytest.raises(ResourceLimitError):
-        delta(diagram, max_cells=4)
+        delta(diagram)
 
 
 def test_delta_alternates_small():

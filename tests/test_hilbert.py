@@ -141,12 +141,13 @@ def test_factorial_dimensions():
             assert total_dimension(ferrers(mu)) == math.factorial(n), mu
 
 
-def test_rejects_bad_inputs():
+def test_rejects_bad_inputs(monkeypatch):
     bad, _ = normalize([(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         hilbert(bad)
+    monkeypatch.setattr(hilbert_module, "DEGREE_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        hilbert(ferrers((2, 2)), degree_cap=1)
+        hilbert(ferrers((2, 2)))
 
 
 def test_tsv_and_json():
@@ -208,13 +209,14 @@ def test_factorial_dimensions_five_and_six_cells():
         assert total_dimension(ferrers(mu)) == 720, mu
 
 
-def test_cell_cap_before_expansion():
+def test_cell_cap_before_expansion(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="7"):
         hilbert(ferrers((4, 4)))
     # 9 cells of bidegree (4, 16): the degree cap fires before a 9! expansion
+    monkeypatch.setattr(hilbert_module, "CELL_CAP", 9)
     with pytest.raises(ResourceLimitError, match="degree cap"):
-        hilbert(ferrers((5, 4)), max_cells=9)
+        hilbert(ferrers((5, 4)))
     assert time.perf_counter() - start < 1.0
     assert CELL_CAP == 7
 

@@ -3,11 +3,13 @@ import math
 import pytest
 
 from latdiag.diagrams import LatticeDiagram, normalize
+from latdiag.errors import ResourceLimitError
 from latdiag.verify import (
     SuiteConfig,
     enumerate_universe,
     find_stage_order_witness,
     format_suite_config,
+    operator_polynomial,
     parse_suite_config,
     run_suite,
     schur_left_to_right,
@@ -169,3 +171,14 @@ def test_left_to_right_variant_differs_somewhere():
 
     diagram = D((1, 0), (2, 0))
     assert schur_left_to_right((2,), diagram) != apply_schur((2,), diagram)
+
+
+def test_oracle_cap_counts_monomials_by_kind():
+    # p_k has n monomials and e_k comb(n, k), so 8 * 8! admits p_2 and e_7 on
+    # 8 cells; h and s keep comb(n+k-1, k), which s_(2,1) on 7 cells passes.
+    assert len(operator_polynomial("p", 2, 8).terms) == 8
+    assert len(operator_polynomial("e", 7, 8).terms) == 8
+    assert operator_polynomial("s", (2, 1), 7)
+    for op, param in [("e", 2), ("h", 2), ("s", (2,)), ("ea", (1, 1))]:
+        with pytest.raises(ResourceLimitError, match="cap"):
+            operator_polynomial(op, param, 8)
