@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .combinat import parse_partition
+from .combinat import parse_ints, parse_partition
 from .diagrams import LatticeDiagram, delta, normalize, parse_cells
 from .errors import ResourceLimitError
 from .hilbert import hilbert
@@ -97,8 +97,7 @@ def _cmd_suite(args) -> tuple[int, dict, str]:
 
 def _cmd_tableaux(args) -> tuple[int, dict, str]:
     if args.families:
-        shape = tuple(int(v) for v in args.shape.split(","))
-        items = enumerate_column_families(shape, args.max_entry)
+        items = enumerate_column_families(parse_ints(args.shape, "shape"), args.max_entry)
     else:
         items = enumerate_cs_tableaux(parse_partition(args.shape), args.max_entry)
     rendered = [str(t) for t in items]

@@ -132,13 +132,14 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers, such as "4, 2,1"; errors name `what`."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse {what} {text!r}") from None
+
+
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse a comma-separated partition such as "4,2,1"."""
-    body = text.strip()
-    if not body:
-        raise ValueError("empty partition")
-    try:
-        parts = tuple(int(v) for v in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition {text!r}") from exc
-    return check_partition(parts)
+    return check_partition(parse_ints(text, "partition"))

@@ -10,7 +10,7 @@ determinant to vanish.
 lexicographic order: each sign comes from a per-n parity table
 (`combinat.lex_parities`), and every term shares one of the two
 coefficients +1/prod(p! q!) and -1/prod(p! q!). An LRU cache of
-`DELTA_CACHE_SIZE` entries keeps recent expansions.
+`DELTA_CACHE_SIZE` entries keeps recent expansions of at most 6 cells.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .combinat import DETERMINANT_CAP, check_partition, lex_parities, permutation_sign
+from .combinat import DETERMINANT_CAP, check_partition, lex_parities, parse_ints, permutation_sign
 from .errors import ResourceLimitError
 from .polynomials import Polynomial
 
@@ -127,7 +127,7 @@ def complement_cells(diagram: LatticeDiagram, row_bound: int, col_bound: int) ->
 
 
 # A suite run over the default desk universe asks for 255 distinct diagrams;
-# an 8-cell entry holds 40,320 terms.
+# delta caches only expansions of at most 6 cells.
 DELTA_CACHE_SIZE = 512
 
 
@@ -165,7 +165,9 @@ def delta(diagram: LatticeDiagram) -> Polynomial:
         raise ResourceLimitError(f"diagram has {n} cells, expansion cap is {DETERMINANT_CAP}")
     if max(max(cell) for cell in diagram.cells) > COORDINATE_CAP:
         raise ResourceLimitError(f"a coordinate of {diagram} exceeds the cap {COORDINATE_CAP}")
-    return _delta_expand(diagram.cells)
+    # An entry holds n! terms, about 130 KB at 6 cells and 8 MB at 8, so a
+    # full cache of larger expansions would hold gigabytes: they bypass it.
+    return (_delta_expand if n <= 6 else _delta_expand.__wrapped__)(diagram.cells)
 
 
 def transpose(diagram: LatticeDiagram) -> tuple[LatticeDiagram, int]:
@@ -179,18 +181,12 @@ def transpose(diagram: LatticeDiagram) -> tuple[LatticeDiagram, int]:
 
 def parse_cells(text: str) -> list[Cell]:
     """Parse a semicolon-separated cell list such as "0,0;1,0;0,1"."""
-    body = text.strip()
-    if not body:
-        raise ValueError("empty diagram text")
     cells = []
-    for chunk in body.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
+    for chunk in text.strip().split(";"):
+        cell = parse_ints(chunk, "cell")
+        if len(cell) != 2:
             raise ValueError(f"cannot parse cell {chunk!r}")
-        try:
-            cells.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse cell {chunk!r}") from exc
+        cells.append(cell)
     return cells
 
 

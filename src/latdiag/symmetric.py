@@ -8,24 +8,25 @@ Polynomial values are immutable.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache
 
-from .combinat import check_partition, staircase_orbit
+from .combinat import staircase_orbit
 from .polynomials import Polynomial
 
 from . import tableaux
 
 
 def _index_sum(index_tuples, n: int) -> Polynomial:
-    """Sum of the monomials x_i1 x_i2 ... over the given index tuples, each
-    with coefficient 1."""
-    terms = {}
+    """Sum of the monomials x_i1 x_i2 ... (0-based indices), one per index
+    tuple, so tuples with the same multiset add up."""
+    counts: Counter[tuple[int, ...]] = Counter()
     for combo in index_tuples:
         mono = [0] * (2 * n)
         for i in combo:
             mono[i] += 1
-        terms[tuple(mono)] = 1
-    return Polynomial(n, terms)
+        counts[tuple(mono)] += 1
+    return Polynomial(n, counts)
 
 
 @cache
@@ -78,14 +79,7 @@ def schur_jacobi_trudi(lam: tuple[int, ...], n: int) -> Polynomial:
 def schur_tableaux(lam: tuple[int, ...], n: int) -> Polynomial:
     """Schur polynomial as the generating function of column-strict Young
     tableaux: one monomial x^T per tableau."""
-    lam = check_partition(lam)
     if not lam:
         raise ValueError("need a nonempty partition")
-    terms: dict[tuple[int, ...], int] = {}
-    for tab in tableaux.enumerate_cs_tableaux(lam, n):
-        mono = [0] * (2 * n)
-        for entry, mult in tab.entry_multiplicities().items():
-            mono[entry - 1] = mult
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + 1
-    return Polynomial(n, terms)
+    tabs = tableaux.enumerate_cs_tableaux(lam, n)
+    return _index_sum(((v - 1 for v in tab.word()) for tab in tabs), n)

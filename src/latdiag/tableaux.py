@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .combinat import check_partition, conjugate, permutation_sign, staircase
+from .combinat import check_partition, conjugate, parse_ints, permutation_sign, staircase
 from .errors import ResourceLimitError
 
 
@@ -68,19 +68,8 @@ def parse_tableau(text: str, max_entry: int | None = None) -> ColumnTableau:
 
     An empty column is written "_". Entries are listed bottom to top.
     """
-    body = text.strip()
-    if not body:
-        raise ValueError("empty tableau text")
-    cols = []
-    for chunk in body.split("|"):
-        chunk = chunk.strip()
-        if chunk == "_":
-            cols.append(())
-            continue
-        try:
-            cols.append(tuple(int(v) for v in chunk.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse column {chunk!r}") from exc
+    chunks = [chunk.strip() for chunk in text.split("|")]
+    cols = [() if chunk == "_" else parse_ints(chunk, "column") for chunk in chunks]
     if max_entry is None:
         max_entry = max((col[-1] for col in cols if col), default=0)
     return ColumnTableau(tuple(cols), max_entry)

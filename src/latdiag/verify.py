@@ -143,16 +143,22 @@ def verify_instance(op: str, param, diagram: LatticeDiagram, axis: str = "x") ->
     return _compare(op, param, diagram, axis, partial(combinatorial_sum, op))
 
 
+# Most diagrams in a suite universe, counted before any is built. The default
+# universe has 255; the 4x4 box with up to 5 cells has 6,884 and takes 14 min.
+UNIVERSE_CAP = 10_000
+
+
 @cache
 def enumerate_universe(max_cells: int, box_rows: int, box_cols: int) -> tuple[LatticeDiagram, ...]:
     """All diagrams with 1..max_cells distinct cells inside the box, ordered by
-    size then by cell combination."""
+    size then by cell combination. Raises ResourceLimitError when there would
+    be more than UNIVERSE_CAP of them."""
+    sizes = range(1, min(max_cells, box_rows * box_cols) + 1)
+    for count in itertools.accumulate(math.comb(box_rows * box_cols, m) for m in sizes):
+        if count > UNIVERSE_CAP:
+            raise ResourceLimitError(f"the suite universe has at least {count} diagrams, cap is {UNIVERSE_CAP}")
     box = [(p, q) for q in range(box_cols) for p in range(box_rows)]
-    out = []
-    for m in range(1, max_cells + 1):
-        for combo in itertools.combinations(box, m):
-            out.append(LatticeDiagram(combo))
-    return tuple(out)
+    return tuple(LatticeDiagram(combo) for m in sizes for combo in itertools.combinations(box, m))
 
 
 @dataclass(frozen=True)

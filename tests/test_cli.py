@@ -165,6 +165,17 @@ def test_suite_empty_config_exit_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flags, expected", [
+    ((), "suite: total=53 passed=52 failed=1"),
+    (("--no-fail-fast",), "suite: total=387 passed=366 failed=21"),
+], ids=["fail-fast", "no-fail-fast"])
+def test_suite_corrupted_mode_counts(capsys, flags, expected):
+    code, out, _ = run(capsys, "suite", "--corrupt-stage-order", "--max-cells", "3",
+                       "--max-weight", "2", "--axes", "x", "--operators", "s", *flags)
+    assert code == 1
+    assert out.splitlines()[0] == expected
+
+
 # -- tableaux ----------------------------------------------------------------
 
 
@@ -294,6 +305,7 @@ EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
     ("verify", "--op", "s", "--param", "3,3,3", "--diagram", EIGHT_IN_A_COLUMN),
     ("verify", "--op", "h", "--param", "25", "--diagram", EIGHT_IN_A_COLUMN),
     ("verify", "--op", "h", "--param", "12", "--diagram", "0,0;0,1;0,2;0,3;0,4;0,5;0,6;12,0"),
+    ("suite", "--box-rows", "40", "--box-cols", "40", "--max-cells", "4"),
 ])
 def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)
@@ -376,3 +388,30 @@ def test_param_zero_exit_2_at_once(capsys, command, op):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+# -- integer lists ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("delta", "--diagram", ""), "cannot parse cell ''"),
+    (("delta", "--diagram", "  "), "cannot parse cell ''"),
+    (("delta", "--diagram", "0,0;1"), "cannot parse cell '1'"),
+    (("apply", "--op", "s", "--param", "", "--diagram", "1,0"), "cannot parse partition ''"),
+    (("tableaux", "--shape", "2,x", "--max-entry", "3"), "cannot parse partition '2,x'"),
+    (("psi", "--tableau", "", "--shape-lambda", "2"), "cannot parse column ''"),
+    (("psi", "--tableau", "1| x", "--shape-lambda", "2"), "cannot parse column 'x'"),
+    (("tableaux", "--families", "--shape", "1,x", "--max-entry", "3"), "cannot parse shape '1,x'"),
+    (("tableaux", "--families", "--shape", "", "--max-entry", "3"), "cannot parse shape ''"),
+])
+def test_integer_list_errors_name_the_format(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_integer_lists_allow_spaces_around_numbers(capsys):
+    code, out, _ = run(capsys, "tableaux", "--families", "--shape", " 1 , 0 ", "--max-entry", "2")
+    assert code == 0
+    assert out.splitlines() == ["1|_", "2|_"]

@@ -344,6 +344,15 @@ def test_delta_cache_covers_the_desk_universe():
     assert _delta_expand.cache_info().maxsize >= len(DESK)
 
 
+def test_delta_caches_only_small_expansions():
+    # an 8-cell entry holds 40,320 terms (about 8 MB), so it bypasses the cache
+    _delta_expand.cache_clear()
+    assert len(delta(EIGHT_CELLS).terms) == 40320
+    assert _delta_expand.cache_info().currsize == 0
+    delta(LatticeDiagram(((0, 0), (7, 0), (0, 11), (5, 13))))
+    assert _delta_expand.cache_info().currsize == 1
+
+
 cells_lists = st.lists(st.tuples(st.integers(-3, 20), st.integers(-3, 20)), min_size=1, max_size=9)
 
 

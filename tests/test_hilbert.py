@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -238,3 +239,59 @@ def test_piece_cap_fails_fast(monkeypatch):
     with pytest.raises(ResourceLimitError, match="50"):
         hilbert(diagram)
     assert time.perf_counter() - start < 1.0
+
+
+# -- independent checks: HHL and n!/k --------------------------------------
+
+
+def hhl_table(mu):
+    """The Haglund-Haiman-Loehr sum of q^inv t^maj over the n! standard
+    fillings of mu, as {(maj, inv): count}. Cell (i, j) with j < mu[i] sits in
+    row i, row 0 at the bottom; the reading order is top row first, left to
+    right. Two cells attack when they share a row, or lie in consecutive rows
+    with the upper one strictly right. A descent is a cell above row 0 whose
+    entry exceeds the entry directly below it. maj sums leg + 1 over the
+    descents and goes on the x-degree; inv counts the attacking pairs whose
+    larger entry comes first in reading order, minus the descents' arms."""
+    reading = [(i, j) for i in range(len(mu) - 1, -1, -1) for j in range(mu[i])]
+    attacking = [(a, b) for a, (i, j) in enumerate(reading) for b, (k, l) in enumerate(reading)
+                 if a < b and (i == k or (i == k + 1 and j > l))]
+    below = [(a, reading.index((i - 1, j))) for a, (i, j) in enumerate(reading) if i > 0]
+    leg = [sum(1 for k in range(i + 1, len(mu)) if mu[k] > j) for i, j in reading]
+    arm = [mu[i] - j - 1 for i, j in reading]
+    table = {}
+    for entries in itertools.permutations(range(len(reading))):
+        descents = [a for a, b in below if entries[a] > entries[b]]
+        maj = sum(leg[a] + 1 for a in descents)
+        inv = sum(1 for a, b in attacking if entries[a] > entries[b]) - sum(arm[a] for a in descents)
+        table[(maj, inv)] = table.get((maj, inv), 0) + 1
+    return table
+
+
+SHAPES_TO_SIX = [mu for k in range(1, 7) for mu in partitions_of(k)]
+
+
+def test_hilbert_equals_hhl_table(monkeypatch):
+    # (6) and (1^6) have bidegrees (0, 15) and (15, 0)
+    monkeypatch.setattr(hilbert_module, "DEGREE_CAP", 15)
+    assert len(SHAPES_TO_SIX) == 29
+    for mu in SHAPES_TO_SIX:
+        assert dict(hilbert(ferrers(mu)).dims) == hhl_table(mu), mu
+
+
+def test_one_hole_totals_are_shadow_times_factorial(monkeypatch):
+    # Bergeron-Garsia n!/k: removing cell (i, j) from mu leaves a span of
+    # dimension s * (|mu| - 1)!, where s counts the cells (p, q) of mu with
+    # p >= i and q >= j
+    monkeypatch.setattr(hilbert_module, "DEGREE_CAP", 15)
+    cases = 0
+    for mu in SHAPES_TO_SIX:
+        cells = ferrers(mu).cells
+        if len(cells) < 2:
+            continue
+        for i, j in cells:
+            diagram, _ = normalize(c for c in cells if c != (i, j))
+            shadow = sum(1 for p, q in cells if p >= i and q >= j)
+            assert hilbert(diagram).total == shadow * math.factorial(len(cells) - 1), (mu, (i, j))
+            cases += 1
+    assert cases == 134

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -62,6 +63,16 @@ def test_universe_counts():
 
 def test_universe_is_deterministic():
     assert enumerate_universe(3, 2, 2) == enumerate_universe(3, 2, 2)
+
+
+def test_universe_cap_counts_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cap"):
+        enumerate_universe(4, 40, 40)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        enumerate_universe(10**9, 10**5, 10**5)
+    assert len(enumerate_universe(10**9, 3, 3)) == 2**9 - 1
+    assert time.perf_counter() - start < 1.0
 
 
 # -- config -------------------------------------------------------------------
