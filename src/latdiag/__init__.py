@@ -38,7 +38,6 @@ from .symmetric import (
     elementary,
     homogeneous,
     power_sum,
-    schur_jacobi_trudi,
     schur_tableaux,
 )
 from .tableaux import (

@@ -216,10 +216,9 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
 
 
 def expand(total: SignedDiagramSum) -> Polynomial:
-    """Replace every diagram by its determinant: the polynomial the sum denotes."""
-    out: dict = {}
+    """Replace every diagram by its determinant: the polynomial the sum denotes.
+    The diagrams have distinct cell sets, so their determinants share no monomial."""
+    terms: dict = {}
     for d, c in total.items():
-        for mono, coeff in delta(d).terms.items():
-            out[mono] = out.get(mono, 0) + c * coeff
-    terms = {m: v for m, v in out.items() if v}
+        terms.update((mono, c * coeff) for mono, coeff in delta(d).terms.items())
     return Polynomial._trusted(total.ncells, terms) if terms else Polynomial.zero(total.ncells)

@@ -1,8 +1,8 @@
 """The classical symmetric polynomials as exact values in x1..xn.
 
 Everything is built in the x alphabet; callers wanting the y version swap
-alphabets on the result. Results are cached, which is safe because
-Polynomial values are immutable.
+alphabets on the result. The builders cache their results (Polynomial
+values are immutable), except schur_jacobi_trudi, the independent check.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ def homogeneous(k: int, n: int) -> Polynomial:
     return _index_sum(itertools.combinations_with_replacement(range(n), k), n)
 
 
-@cache
 def schur_jacobi_trudi(lam: tuple[int, ...], n: int) -> Polynomial:
     """Schur polynomial via the dual Jacobi-Trudi determinant in the e_k,
     expanded over permutations of the staircase-shifted conjugate shape."""

@@ -163,7 +163,8 @@ def is_column_strict(tableau: ColumnTableau) -> bool:
     return all(word_pair(cols[j], cols[j + 1]).r == 0 for j in range(len(cols) - 1))
 
 
-# Most column families or column-strict tableaux built in one call.
+# Most columns one enumeration may write, counted before each stage or family.
+# Slowest admitted, as measured: (1,1,1,1) on 71 entries, 971,635 tableaux, 7 s.
 ENUMERATION_CAP = 10**6
 
 
@@ -176,14 +177,15 @@ def _check_count(count: int, what: str) -> None:
 def enumerate_column_families(alpha: tuple[int, ...], n: int) -> tuple[ColumnTableau, ...]:
     """All tuples of strict columns of the given heights with entries in 1..n.
 
-    Any negative height makes the family empty. The count is the product of
-    binomial(n, alpha_j); above ENUMERATION_CAP it raises ResourceLimitError
-    before any family is built.
+    Any negative height makes the family empty. The columns written are the
+    product of binomial(n, alpha_j) times the number of parts; above
+    ENUMERATION_CAP it raises ResourceLimitError before any family is built.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         return ()
-    _check_count(math.prod(math.comb(max(n, 0), a) for a in alpha), "column families")
+    columns = math.prod(math.comb(max(n, 0), a) for a in alpha) * len(alpha)
+    _check_count(columns, "columns for column families")
     pools = [list(itertools.combinations(range(1, n + 1), a)) for a in alpha]
     return tuple(ColumnTableau(cols, n) for cols in itertools.product(*pools))
 
@@ -196,17 +198,14 @@ def enumerate_cs_tableaux(lam: tuple[int, ...], n: int) -> tuple[ColumnTableau, 
     Built column by column, left to right: each column is a strict subset of
     1..n, kept when row by row its entries are at least those of the column
     before it. Every partial tableau extends, so nothing built is thrown
-    away. The count, from the hook-content formula, is checked against
-    ENUMERATION_CAP first.
+    away. Before each stage, partial tableaux times candidate columns times
+    columns so far join a running count checked against ENUMERATION_CAP.
     """
-    lam = check_partition(lam)
-    heights = conjugate(lam)
-    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    count = (math.prod(max(n, 0) + j - i for i, j in cells)
-             // math.prod(lam[i] - j + heights[j] - i - 1 for i, j in cells))
-    _check_count(count, "column-strict tableaux")
     built: list[tuple[tuple[int, ...], ...]] = [()]
-    for h in heights:
+    count = 0
+    for j, h in enumerate(conjugate(check_partition(lam))):
+        count += len(built) * math.comb(max(n, 0), h) * (j + 1)
+        _check_count(count, "columns for column-strict tableaux")
         pool = list(itertools.combinations(range(1, n + 1), h))
         built = [cols + (col,) for cols in built for col in pool
                  if not cols or all(a >= b for a, b in zip(col, cols[-1]))]

@@ -29,7 +29,7 @@ from .operators import (
     staged_sum,
 )
 from .polynomials import Polynomial, check_axis, diff_operator
-from .symmetric import elementary, homogeneous, power_sum, schur_jacobi_trudi
+from .symmetric import elementary, homogeneous, power_sum, schur_tableaux
 from .tableaux import ColumnTableau, enumerate_cs_tableaux
 
 OP_KINDS = ("p", "e", "h", "s")
@@ -45,7 +45,8 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
 
     Raises ValueError for a p, e or h degree below 1, and ResourceLimitError
     before building anything when its monomials (n for p, comb(n, k) for e,
-    at most comb(n+k-1, k) otherwise) times n! exceed ORACLE_CAP."""
+    at most comb(n+k-1, k) otherwise) times n! exceed ORACLE_CAP. s_lambda is
+    built from its tableaux, under ENUMERATION_CAP."""
     check_axis(axis)
     if op not in OP_KINDS + ("ea",):
         raise ValueError(f"unknown operator kind {op!r}")
@@ -57,11 +58,9 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     if k > 0 and monomials * math.factorial(n) > ORACLE_CAP:
         raise ResourceLimitError(f"the oracle for degree {k} on {n} cells exceeds the cap {ORACLE_CAP}")
     if op == "s":
-        poly = schur_jacobi_trudi(parts, n)
+        poly = schur_tableaux(parts, n)
     elif op == "ea":
-        poly = Polynomial.constant(n, 1)
-        for a in parts:
-            poly = poly * elementary(a, n)
+        poly = math.prod((elementary(a, n) for a in parts), start=Polynomial.constant(n, 1))
     else:
         poly = {"p": power_sum, "e": elementary, "h": homogeneous}[op](k, n)
     return poly.swap_alphabets() if axis == "y" else poly
@@ -143,8 +142,8 @@ def verify_instance(op: str, param, diagram: LatticeDiagram, axis: str = "x") ->
     return _compare(op, param, diagram, axis, partial(combinatorial_sum, op))
 
 
-# Most diagrams in a suite universe, counted before any is built. The default
-# universe has 255; the 4x4 box with up to 5 cells has 6,884 and takes 14 min.
+# Most diagrams, or Schur parameters, a suite lists. The default universe has
+# 255 diagrams; the 4x4 box with up to 5 cells has 6,884 and takes 14 min.
 UNIVERSE_CAP = 10_000
 
 
@@ -223,9 +222,14 @@ def format_suite_config(cfg: SuiteConfig) -> str:
 
 
 def _params_for(op: str, max_weight: int):
-    if op == "s":
-        return [lam for k in range(1, max_weight + 1) for lam in partitions_of(k)]
-    return list(range(1, max_weight + 1))
+    if op != "s":
+        return list(range(1, max_weight + 1))
+    params: list[tuple[int, ...]] = []
+    for k in range(1, max_weight + 1):
+        params += partitions_of(k)
+        if len(params) > UNIVERSE_CAP:
+            raise ResourceLimitError(f"the suite lists at least {len(params)} Schur parameters, cap is {UNIVERSE_CAP}")
+    return params
 
 
 def suite_instances(cfg: SuiteConfig):

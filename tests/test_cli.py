@@ -299,18 +299,40 @@ EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "--op", "s", "--param", "14", "--diagram", "0,0;1,0;2,0;3,0"),
     ("tableaux", "--families", "--shape", ",".join(["1"] * 12), "--max-entry", "10"),
     ("verify", "--op", "s", "--param", "9", "--diagram", EIGHT_IN_A_COLUMN),
     ("verify", "--op", "s", "--param", "3,3,3", "--diagram", EIGHT_IN_A_COLUMN),
     ("verify", "--op", "h", "--param", "25", "--diagram", EIGHT_IN_A_COLUMN),
     ("verify", "--op", "h", "--param", "12", "--diagram", "0,0;0,1;0,2;0,3;0,4;0,5;0,6;12,0"),
     ("suite", "--box-rows", "40", "--box-cols", "40", "--max-cells", "4"),
+    # the tableau builders count the columns they would write, stage by stage
+    ("tableaux", "--shape", "5000", "--max-entry", "2"),
+    ("tableaux", "--shape", "24,16,7", "--max-entry", "4"),
+    ("verify", "--op", "s", "--param", "100000", "--diagram", "0,0"),
+    ("verify", "--op", "s", "--param", "24,16,7", "--diagram", "0,0;1,0;2,0;3,0"),
+    # 11,731 partitions of 1..26 before the listing stops
+    ("suite", "--max-weight", "70", "--operators", "s", "--axes", "x",
+     "--max-cells", "1", "--box-rows", "1", "--box-cols", "1"),
 ])
 def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)
     assert code == 2
     assert "cap" in err
+
+
+def test_schur_oracle_builds_from_tableaux_at_once(capsys):
+    # Each s_lambda has at most 455 tableaux here; the Jacobi-Trudi
+    # determinant would walk lam[0]! staircase permutations (14! for (14)).
+    for param, diagram in [("9,9,9,9", "0,0;1,0;2,0;3,0"), ("9", "0,0"),
+                           ("14", "0,0;1,0;2,0;3,0")]:
+        code, out, _ = timed_run(capsys, "verify", "--op", "s", "--param", param,
+                                 "--diagram", diagram)
+        assert code == 0
+        assert "PASS" in out
+    code, out, _ = timed_run(capsys, "suite", "--operators", "s", "--max-weight", "10",
+                             "--max-cells", "1", "--box-rows", "1", "--box-cols", "1")
+    assert code == 0
+    assert out.strip() == "suite: total=276 passed=276 failed=0"
 
 
 def test_oracle_cap_admits_a_first_degree_operator_on_eight_cells(capsys):
