@@ -4,14 +4,16 @@ Each subcommand handler returns (exit code, JSON object, text) and prints
 nothing on stdout; `main` prints json.dumps of the object under --json and
 the text otherwise (nothing when the text is empty), then returns the code.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or parse
-errors and on a refused cap, reported as "error: ..." on stderr. All output
-is deterministic.
+errors and on a refused cap, reported as "error: ..." on stderr. A reader
+that closes the pipe early ends the output quietly. All output is
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -225,10 +227,18 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(obj))
-    elif text:
-        print(text)
+    try:
+        if args.json:
+            print(json.dumps(obj))
+        elif text:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (as `| head` does). Point stdout at
+        # devnull so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -1,14 +1,15 @@
 """Cell-movement rules for symmetric differential operators on diagrams.
 
 Each rule turns an operator application into a signed sum of diagrams whose
-determinants add up to the honest derivative. Along x, p_k drops one cell by
-k rows; every other rule is a staged sum over tableaux whose entries drop
-cells one row at a time: e_alpha over column families of shape alpha, and
-s_lambda over column-strict Young tableaux of shape lambda, with e_k the
-one-column e_(k) and h_k the one-row s_(k). y-axis applications go through
-transposition, with the two resort signs multiplied into each coefficient,
-because a single column move can reorder the lexicographic positions while
-a row move cannot.
+determinants add up to the honest derivative. p_k moves one cell k steps
+along its own axis, k rows down along x and k columns left along y, and
+resorts with the sign. Every other rule is a staged sum over tableaux whose
+entries drop cells one row at a time: e_alpha over column families of shape
+alpha, and s_lambda over column-strict Young tableaux of shape lambda, with
+e_k the one-column e_(k) and h_k the one-row s_(k). Only these staged rules
+transpose: along y they run on the transposed diagram, with the two resort
+signs multiplied into each coefficient, because a one-column move can
+reorder the lexicographic positions while a one-row move cannot.
 
 Tableau entries always index cells of the *original* diagram in lex order.
 This stays well defined across stages: a one-row move within a column either
@@ -35,49 +36,29 @@ from .polynomials import Polynomial, check_axis
 from .tableaux import ColumnTableau, enumerate_column_families, enumerate_cs_tableaux
 
 
-def _on_axis(rule_x: Callable[[LatticeDiagram], SignedDiagramSum],
-             diagram: LatticeDiagram, axis: str, degree: int) -> SignedDiagramSum:
-    """Run an x-axis rule for an operator of the given degree along axis.
-
-    Every rule enters here. A degree above the diagram's weight on the axis
-    differentiates the determinant to zero, so the empty sum returns without
-    running the rule.
-    """
+def _check_rule_input(diagram: LatticeDiagram, axis: str) -> None:
     check_axis(axis)
     if not epsilon(diagram):
         raise ValueError("movement rules need n distinct cells in the positive quadrant")
-    out = SignedDiagramSum(len(diagram))
-    if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
-        return out
-    if axis == "x":
-        return rule_x(diagram)
-    flipped, base_sign = transpose(diagram)
-    for d, c in rule_x(flipped).items():
-        back, resort_sign = transpose(d)
-        out.add(back, c * base_sign * resort_sign)
-    return out
 
 
 def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
-    """Power sum rule: drop one cell by k rows, once per cell position.
+    """Power sum rule: move one cell k steps along the axis, by (k, 0) along
+    x and by (0, k) along y, once per cell position.
 
     The coefficient of each surviving diagram is the sign of the permutation
     that resorts the moved cell list.
     """
     if k < 1:
         raise ValueError("power sum needs k >= 1")
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        out = SignedDiagramSum(len(L))
-        for i in range(len(L)):
-            cells = list(L.cells)
-            p, q = cells[i]
-            cells[i] = (p - k, q)
-            moved, sign = normalize(cells)
-            out.add(moved, sign)
-        return out
-
-    return _on_axis(rule, diagram, axis, k)
+    _check_rule_input(diagram, axis)
+    dp, dq = (k, 0) if axis == "x" else (0, k)
+    out = SignedDiagramSum(len(diagram))
+    for i, (p, q) in enumerate(diagram.cells):
+        cells = list(diagram.cells)
+        cells[i] = (p - dp, q - dq)
+        out.add(*normalize(cells))
+    return out
 
 
 def apply_elementary(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
@@ -139,18 +120,31 @@ def epsilon_prime(tableau: ColumnTableau, diagram: LatticeDiagram) -> EpsilonPri
     return EpsilonPrimeResult(value, tuple(cells), tuple(stages), tuple(stage_values))
 
 
-def staged_sum(L: LatticeDiagram,
-               signed_tableaux: Iterable[tuple[int, ColumnTableau]]) -> SignedDiagramSum:
-    """Sum of sign times the moved diagram over the tableaux whose every
-    epsilon_prime stage survives. Surviving moves never reorder the cells."""
-    out = SignedDiagramSum(len(L))
-    for sign, tab in signed_tableaux:
+def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTableau]]],
+                diagram: LatticeDiagram, axis: str, degree: int) -> SignedDiagramSum:
+    """Sum of sign times the moved diagram over the (sign, tableau) pairs of
+    signed_tableaux(n) whose every epsilon_prime stage survives; surviving
+    moves never reorder the cells. A degree above the diagram's weight on the
+    axis gives the empty sum without any tableau. Along y the rule runs on the
+    transposed diagram and transposes each combined term back once."""
+    _check_rule_input(diagram, axis)
+    if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
+        return SignedDiagramSum(len(diagram))
+    L, base_sign = (diagram, 1) if axis == "x" else transpose(diagram)
+    moved = SignedDiagramSum(len(L))
+    for sign, tab in signed_tableaux(len(L)):
         result = epsilon_prime(tab, L)
         if result.value:
-            moved, resort_sign = normalize(result.final)
+            d, resort_sign = normalize(result.final)
             if resort_sign != 1:
                 raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]")
-            out.add(moved, sign)
+            moved.add(d, sign)
+    if axis == "x":
+        return moved
+    out = SignedDiagramSum(len(L))
+    for d, c in moved.items():
+        back, resort_sign = transpose(d)
+        out.add(back, c * base_sign * resort_sign)
     return out
 
 
@@ -158,11 +152,8 @@ def apply_e_alpha(alpha: tuple[int, ...], diagram: LatticeDiagram, axis: str = "
     """Product-of-elementaries rule: one term per column family of shape alpha,
     weighted by the staged coefficient. A negative part empties the sum."""
     alpha = tuple(int(a) for a in alpha)
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        return staged_sum(L, ((1, tab) for tab in enumerate_column_families(alpha, len(L))))
-
-    return _on_axis(rule, diagram, axis, sum(alpha))
+    return staged_rule(lambda n: ((1, tab) for tab in enumerate_column_families(alpha, n)),
+                       diagram, axis, sum(alpha))
 
 
 def apply_schur(lam: tuple[int, ...], diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
@@ -172,11 +163,8 @@ def apply_schur(lam: tuple[int, ...], diagram: LatticeDiagram, axis: str = "x") 
     lam = check_partition(lam)
     if not lam:
         raise ValueError("need a nonempty partition")
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        return staged_sum(L, ((1, tab) for tab in enumerate_cs_tableaux(lam, len(L))))
-
-    return _on_axis(rule, diagram, axis, sum(lam))
+    return staged_rule(lambda n: ((1, tab) for tab in enumerate_cs_tableaux(lam, n)),
+                       diagram, axis, sum(lam))
 
 
 @dataclass(frozen=True)
@@ -206,13 +194,9 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
     orbit. Equals apply_schur after like diagrams combine; the equality is
     the executable content of the cancellation argument."""
     orbit = staircase_orbit(lam)
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        n = len(L)
-        return staged_sum(L, ((sign, tab) for _, sign, alpha in orbit
-                              for tab in enumerate_column_families(alpha, n)))
-
-    return _on_axis(rule, diagram, axis, sum(lam))
+    return staged_rule(lambda n: ((sign, tab) for _, sign, alpha in orbit
+                                  for tab in enumerate_column_families(alpha, n)),
+                       diagram, axis, sum(lam))
 
 
 def expand(total: SignedDiagramSum) -> Polynomial:

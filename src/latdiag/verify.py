@@ -18,7 +18,6 @@ from .combinat import check_partition, partitions_of
 from .diagrams import LatticeDiagram, SignedDiagramSum, delta
 from .errors import ResourceLimitError
 from .operators import (
-    _on_axis,
     apply_e_alpha,
     apply_elementary,
     apply_homogeneous,
@@ -26,7 +25,7 @@ from .operators import (
     apply_schur,
     epsilon_prime,
     expand,
-    staged_sum,
+    staged_rule,
 )
 from .polynomials import Polynomial, check_axis, diff_operator
 from .symmetric import elementary, homogeneous, power_sum, schur_tableaux
@@ -274,11 +273,8 @@ def schur_left_to_right(lam: tuple[int, ...], diagram: LatticeDiagram,
     Kept in the harness as a counterexample generator; the library rule is
     rightmost-first."""
     lam = check_partition(lam)
-
-    def rule(L: LatticeDiagram) -> SignedDiagramSum:
-        return staged_sum(L, ((1, _reversed(tab)) for tab in enumerate_cs_tableaux(lam, len(L))))
-
-    return _on_axis(rule, diagram, axis, sum(lam))
+    return staged_rule(lambda n: ((1, _reversed(tab)) for tab in enumerate_cs_tableaux(lam, n)),
+                       diagram, axis, sum(lam))
 
 
 def _reversed(tableau: ColumnTableau) -> ColumnTableau:

@@ -37,3 +37,17 @@ def test_tracer_paths_resolve():
     for path in paths:
         importlib.import_module(f"latdiag.{path.partition(':')[0]}")
         assert callable(tracer._resolve(path)), path
+
+
+def test_no_private_names_cross_modules():
+    # A module may use its own underscored helpers; importing another
+    # module's makes that helper part of an interface nobody declared.
+    paths = sorted((ROOT / "src" / "latdiag").glob("*.py"))
+    assert paths
+    crossings = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                crossings += [f"{path.name}: {node.module}.{alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert crossings == []

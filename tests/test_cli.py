@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -401,6 +405,20 @@ def test_json_reports_parse(capsys, argv, code, expected):
         k: v for k, v in expected.items() if v is not None}
 
 
+def test_closed_pipe_ends_output_quietly():
+    # The reader keeps the first of 45,150 lines and closes the pipe, as
+    # `| head -1` does; the rest of the output then has nowhere to go.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "latdiag.cli", "tableaux", "--shape", "2",
+                             "--max-entry", "300"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1|1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
 @pytest.mark.parametrize("command", ["apply", "verify"])
 @pytest.mark.parametrize("op", ["p", "e", "h"])
 def test_param_zero_exit_2_at_once(capsys, command, op):
@@ -425,6 +443,7 @@ def test_param_zero_exit_2_at_once(capsys, command, op):
     (("psi", "--tableau", "1| x", "--shape-lambda", "2"), "cannot parse column 'x'"),
     (("tableaux", "--families", "--shape", "1,x", "--max-entry", "3"), "cannot parse shape '1,x'"),
     (("tableaux", "--families", "--shape", "", "--max-entry", "3"), "cannot parse shape ''"),
+    (("apply", "--op", "p", "--param", "2,1", "--diagram", "1,0"), "operator 'p' needs an integer parameter, got '2,1'"),
 ])
 def test_integer_list_errors_name_the_format(capsys, argv, message):
     code, out, err = run(capsys, *argv)

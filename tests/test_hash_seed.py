@@ -27,6 +27,7 @@ def _run(argv, seed):
 @pytest.mark.parametrize("argv", [
     ("suite", "--max-cells", "3", "--max-weight", "2", "--json"),
     ("apply", "--op", "s", "--param", "2,1", "--axis", "y", "--diagram", "0,0;1,1;0,2;2,3", "--expand"),
+    ("apply", "--op", "p", "--param", "2", "--axis", "y", "--diagram", "0,0;1,1;0,2;2,3"),
     ("hilbert", "--diagram", "0,0;1,0;0,1", "--json"),
     ("psi", "--tableau", "7,8,10|3,9|4,5,6,8", "--shape-lambda", "3,3,3", "--json"),
     ("tableaux", "--shape", "2,1", "--max-entry", "3"),

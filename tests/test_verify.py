@@ -36,6 +36,12 @@ def test_verify_trivial_instances():
     assert report.match
     assert report.expected.is_zero and report.actual.is_zero
 
+    # the "ea" dispatch of combinatorial_sum, along both axes
+    for axis in ("x", "y"):
+        report = verify_instance("ea", (1, 0, 2), D((1, 1), (2, 2)), axis)
+        assert report.match
+        assert len(report.expected.terms) == 2
+
 
 def test_verify_schur_on_its_own_shape():
     from latdiag.diagrams import ferrers
