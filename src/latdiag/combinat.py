@@ -65,14 +65,15 @@ def staircase_orbit(lam: Iterable[int]) -> list[tuple[tuple[int, ...], int, tupl
     per permutation sigma of the conjugate's columns, where alpha + d is
     (conjugate(lam) + d) rearranged by sigma, d = staircase, and sign is the
     sign of sigma. Shapes with a negative part are included. The orbit is the
-    Leibniz sum of the Jacobi-Trudi determinant, so a conjugate with more than
-    DETERMINANT_CAP parts raises ResourceLimitError."""
-    lam_conj = conjugate(lam)
-    if not lam_conj:
+    Leibniz sum of the Jacobi-Trudi determinant, so lam[0] (the conjugate's
+    length) above DETERMINANT_CAP raises ResourceLimitError."""
+    lam = check_partition(lam)
+    if not lam:
         raise ValueError("need a nonempty partition")
-    ell = len(lam_conj)
+    ell = lam[0]
     if ell > DETERMINANT_CAP:
         raise ResourceLimitError(f"staircase orbit has {ell}! terms, cap is {DETERMINANT_CAP}!")
+    lam_conj = conjugate(lam)
     d = staircase(ell)
     v = [lam_conj[i] + d[i] for i in range(ell)]
     return [(sigma, 1 - 2 * odd, tuple(v[sigma[i]] - d[i] for i in range(ell)))

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import getitem
 from typing import Mapping, Sequence
+
+from .errors import ResourceLimitError
 
 Monomial = tuple[int, ...]
 
@@ -90,9 +93,7 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars: int, axis: str, index: int) -> "Polynomial":
         pos = _axis_offset(nvars, axis, index)
-        mono = [0] * (2 * nvars)
-        mono[pos] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        return cls(nvars, {tuple(int(j == pos) for j in range(2 * nvars)): 1})
 
     @classmethod
     def monomial(cls, nvars: int, xexp: Sequence[int], yexp: Sequence[int], coeff=1) -> "Polynomial":
@@ -193,11 +194,7 @@ class Polynomial:
 
     def partial(self, axis: str, index: int) -> "Polynomial":
         """Exact partial derivative with respect to x_index or y_index."""
-        pos = _axis_offset(self.nvars, axis, index)
-        # lowering one exponent is injective on the monomials that keep a term
-        return Polynomial._trusted(self.nvars, {
-            mono[:pos] + (e - 1,) + mono[pos + 1:]: coeff * e
-            for mono, coeff in self.terms.items() if (e := mono[pos])})
+        return diff_operator(Polynomial.variable(self.nvars, axis, index), self)
 
     def swap_alphabets(self) -> "Polynomial":
         """Exchange the x and y alphabets: p(X;Y) -> p(Y;X)."""
@@ -218,11 +215,10 @@ class Polynomial:
         terms = self.terms
         if not terms:
             return "0"
-        n = self.nvars
-        top = max(map(max, terms))
+        exponents = set().union(*terms) - {0}
         # factors[pos][e] is the text of one variable factor, "x3^2"; "" for e = 0
-        factors = [[""] + [f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in range(1, top + 1)]
-                   for v in "xy" for i in range(1, n + 1)]
+        factors = [{0: "", **{e: f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in exponents}}
+                   for v in "xy" for i in range(1, self.nvars + 1)]
         # The text of each coefficient is made once: (sign, numerator alone,
         # numerator before a monomial, denominator). Keyed by id, which is
         # sound because self.terms keeps every coefficient alive meanwhile;
@@ -234,9 +230,13 @@ class Polynomial:
             text = texts.get(id(coeff))
             if text is None:
                 num, den = abs(coeff.numerator), coeff.denominator
-                text = texts[id(coeff)] = ("- " if coeff < 0 else "+ ", str(num),
-                                           f"{num}*" if num != 1 else "",
-                                           f"/{den}" if den != 1 else "")
+                try:
+                    text = texts[id(coeff)] = ("- " if coeff < 0 else "+ ", str(num),
+                                               f"{num}*" if num != 1 else "",
+                                               f"/{den}" if den != 1 else "")
+                except ValueError:  # an integer longer than the interpreter writes
+                    raise ResourceLimitError(f"a coefficient has more than {sys.get_int_max_str_digits()}"
+                                             " digits, the limit for integer text") from None
             sign, alone, lead, tail = text
             ms = "*".join(filter(None, map(getitem, factors, mono)))
             chunks.append(sign + (lead + ms if ms else alone) + tail)

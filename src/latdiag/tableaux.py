@@ -4,7 +4,8 @@ A column tableau is a tuple of strictly increasing columns read bottom to
 top; the shape is the composition of column heights. Column-strict Young
 tableaux are the members whose shape is a partition and whose rows weakly
 increase, which the pairing criterion detects without looking at rows;
-enumerate_cs_tableaux builds them directly instead.
+enumerate_cs_tableaux builds them directly (their contents give s_lambda),
+sizing the shape before its lam[0]-long conjugate is built.
 """
 
 from __future__ import annotations
@@ -198,12 +199,17 @@ def enumerate_cs_tableaux(lam: tuple[int, ...], n: int) -> tuple[ColumnTableau, 
     Built column by column, left to right: each column is a strict subset of
     1..n, kept when row by row its entries are at least those of the column
     before it. Every partial tableau extends, so nothing built is thrown
-    away. Before each stage, partial tableaux times candidate columns times
-    columns so far join a running count checked against ENUMERATION_CAP.
+    away; a shape with more than n rows has none. ENUMERATION_CAP bounds
+    lam[0], at most the columns written, before conjugating, and before each
+    stage a running count of partial tableaux times candidates times columns.
     """
+    lam = check_partition(lam)
+    if lam and len(lam) > n:
+        return ()
+    _check_count(max(lam, default=0), "columns for column-strict tableaux")
     built: list[tuple[tuple[int, ...], ...]] = [()]
     count = 0
-    for j, h in enumerate(conjugate(check_partition(lam))):
+    for j, h in enumerate(conjugate(lam)):
         count += len(built) * math.comb(max(n, 0), h) * (j + 1)
         _check_count(count, "columns for column-strict tableaux")
         pool = list(itertools.combinations(range(1, n + 1), h))
@@ -241,14 +247,17 @@ def shape_orbit_sign(alpha: tuple[int, ...], lam: tuple[int, ...]) -> int:
     the orbit. Raises ValueError outside the orbit.
     """
     alpha = tuple(int(a) for a in alpha)
-    lam_conj = conjugate(lam)
-    if not lam_conj:
+    if not check_partition(lam):
         raise ValueError("need a nonempty partition")
-    d = staircase(len(lam_conj))
+    outside = f"shape {alpha} is not in the orbit of {lam}"
+    if len(alpha) != lam[0]:  # the conjugate's length, checked before building it
+        raise ValueError(outside)
+    lam_conj = conjugate(lam)
+    d = staircase(lam[0])
     position = {c + s: i for i, (c, s) in enumerate(zip(lam_conj, d))}
     shifted = [a + s for a, s in zip(alpha, d)]
-    if len(alpha) != len(d) or sorted(shifted) != sorted(position):
-        raise ValueError(f"shape {alpha} is not in the orbit of {lam}")
+    if sorted(shifted) != sorted(position):
+        raise ValueError(outside)
     return permutation_sign([position[v] for v in shifted])
 
 

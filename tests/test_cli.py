@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -145,12 +147,24 @@ def test_suite_corrupted_mode_fails(capsys):
     assert "first failure" in out
 
 
-def test_suite_bad_config_exit_2(capsys, tmp_path):
-    config = tmp_path / "suite.cfg"
-    config.write_text("bogus=1\n")
-    code, _, err = run(capsys, "suite", "--config", str(config))
+@pytest.mark.parametrize("config, flags, message", [
+    ("bogus=1\n", (), "config line 1: unknown key 'bogus'"),
+    ("operators=q\n", (), "config line 1: unknown operator kind 'q'"),
+    ("fail_fast=maybe\n", (), "config line 1: bad fail_fast 'maybe'"),
+    ("axes=\n", (), "config line 1: axes and operators must each list at least one entry"),
+    (None, ("--axes", ","), "error: axes and operators must each list at least one entry"),
+    (None, ("--operators", "q"), "error: unknown operator kind 'q'"),
+], ids=["bogus=1", "operators=q", "fail_fast=maybe", "axes=", "--axes=,", "--operators=q"])
+def test_suite_bad_config_exit_2(capsys, tmp_path, config, flags, message):
+    argv = list(flags)
+    if config is not None:
+        path = tmp_path / "suite.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    code, _, err = run(capsys, "suite", *argv)
     assert code == 2
     assert "error:" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("flag", ["--max-cells", "--box-rows", "--box-cols", "--max-weight"])
@@ -273,9 +287,26 @@ def test_argparse_usage_error_is_exit_2():
 # -- bounded inputs ----------------------------------------------------------
 
 
+class StillRunning(Exception):
+    """Raised by timed_run's alarm. cli.main turns ValueError, OSError (so
+    also TimeoutError) and ResourceLimitError into exit 2, but not this."""
+
+
+def _still_running(signum, frame):
+    raise StillRunning("command still running after 5 s")
+
+
 def timed_run(capsys, *argv):
-    start = time.perf_counter()
-    result = run(capsys, *argv)
+    # The alarm ends a command that hangs, so the test fails instead of
+    # stalling the run; the 1 s bound is checked once the command returns.
+    previous = signal.signal(signal.SIGALRM, _still_running)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 1.0, argv
     return result
 
@@ -317,6 +348,9 @@ EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
     # 11,731 partitions of 1..26 before the listing stops
     ("suite", "--max-weight", "70", "--operators", "s", "--axes", "x",
      "--max-cells", "1", "--box-rows", "1", "--box-cols", "1"),
+    # lam[0] columns are counted before the 10^7-part conjugate is built
+    ("tableaux", "--shape", "10000000", "--max-entry", "1"),
+    ("verify", "--op", "s", "--param", "10000000", "--diagram", "0,0"),
 ])
 def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)
@@ -372,11 +406,44 @@ SEVEN_CELLS = "0,0;1,0;2,0;3,0;0,1;1,1;2,1"
     (("psi", "--tableau", "|".join(["1"] * 10), "--shape-lambda", "10"), "involution check: ok"),
     (("psi", "--tableau", "|".join(["1"] * 12), "--shape-lambda", "12"), "involution check: ok"),
     (("verify", "--op", "p", "--param", "4", "--diagram", SEVEN_CELLS), "PASS"),
+    # two rows cannot be filled from one entry: the listing is empty
+    (("tableaux", "--shape", "10000000,10000000", "--max-entry", "1", "--json"),
+     '{"count": 0, "tableaux": []}'),
+    # the oracle's monomials are exponent vectors, not k-long index tuples
+    (("verify", "--op", "p", "--param", "1000000000000", "--diagram", "0,0;1,0"), "PASS"),
+    (("verify", "--op", "h", "--param", "1000000000000", "--diagram", "0,0"), "PASS"),
 ])
 def test_uncapped_commands_finish_at_once(capsys, argv, expected):
     code, out, _ = timed_run(capsys, *argv)
     assert code == 0
     assert expected in out
+
+
+def test_psi_outside_the_orbit_exit_2_at_once(capsys):
+    # the tableau has one column and lam has lam[0] = 10^7: refused before conjugating
+    code, out, err = timed_run(capsys, "psi", "--tableau", "1", "--shape-lambda", "10000000")
+    assert code == 2
+    assert out == ""
+    assert "error: shape (1,) is not in the orbit of (10000000,)" in err
+
+
+@pytest.mark.parametrize("command", [("delta",), ("apply", "--op", "p", "--param", "1", "--expand")])
+def test_text_past_the_digit_limit_exit_2_at_once(capsys, command):
+    # delta([1000,1000]) = x1^1000*y1^1000/(1000!)^2, a denominator of 5,136 digits
+    code, out, err = timed_run(capsys, *command, "--diagram", "1000,1000")
+    assert code == 2
+    assert out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_text_below_the_digit_limit_prints(capsys):
+    code, out, _ = timed_run(capsys, "delta", "--diagram", "600,600")
+    assert code == 0
+    assert out.strip() == f"x1^600*y1^600/{math.factorial(600) ** 2}"
+    code, out, _ = timed_run(capsys, "verify", "--op", "p", "--param", "1", "--diagram", "1000,1000")
+    assert code == 0
+    assert "PASS" in out
 
 
 # -- one output path ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from latdiag.polynomials import (
     diff_operator,
     parse_polynomial,
 )
+from latdiag.symmetric import power_sum
 from latdiag.verify import enumerate_universe
 
 
@@ -276,3 +278,14 @@ def test_parse_reads_back_an_eight_cell_delta():
     poly = delta(diagram)
     assert len(poly.terms) == 40320
     assert parse_polynomial(str(poly), 8) == poly
+
+
+def test_text_of_huge_exponents_at_once():
+    # the factor table holds the exponents that occur, not every one up to the top
+    start = time.perf_counter()
+    assert str(power_sum(10**12, 2)) == "x2^1000000000000 + x1^1000000000000"
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    poly = parse_polynomial("x1^3000000", 1)
+    assert parse_polynomial(str(poly), 1) == poly
+    assert time.perf_counter() - start < 1.0
