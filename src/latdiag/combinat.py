@@ -31,9 +31,12 @@ def check_partition(parts: Iterable[int]) -> tuple[int, ...]:
 def conjugate(lam: Iterable[int]) -> tuple[int, ...]:
     """Conjugate partition: entry i counts the parts of size at least i+1."""
     lam = check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    # lam[i-1] - lam[i] columns have height i; append from the last row up
+    padded = lam + (0,)
+    out: list[int] = []
+    for i in range(len(lam), 0, -1):
+        out += [i] * (padded[i - 1] - padded[i])
+    return tuple(out)
 
 
 @cache

@@ -208,18 +208,6 @@ def parse_suite_config(text: str) -> SuiteConfig:
     return cfg
 
 
-def format_suite_config(cfg: SuiteConfig) -> str:
-    return "\n".join([
-        f"max_cells={cfg.max_cells}",
-        f"box_rows={cfg.box_rows}",
-        f"box_cols={cfg.box_cols}",
-        f"max_weight={cfg.max_weight}",
-        "axes=" + ",".join(cfg.axes),
-        "operators=" + ",".join(cfg.operators),
-        f"fail_fast={'true' if cfg.fail_fast else 'false'}",
-    ]) + "\n"
-
-
 def _params_for(op: str, max_weight: int):
     if op != "s":
         return list(range(1, max_weight + 1))

@@ -351,6 +351,8 @@ EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
     # lam[0] columns are counted before the 10^7-part conjugate is built
     ("tableaux", "--shape", "10000000", "--max-entry", "1"),
     ("verify", "--op", "s", "--param", "10000000", "--diagram", "0,0"),
+    # a 10^6-column conjugate of 100 rows, built in one sweep over the rows
+    ("tableaux", "--shape", ",".join(["1000000"] * 100), "--max-entry", "100"),
 ])
 def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)

@@ -46,6 +46,10 @@ def test_exact_rank_known_cases():
     assert exact_rank([[1, 2], [3, 4]]) == 2
     assert exact_rank([[Fraction(1, 2), Fraction(1, 3)],
                        [Fraction(1, 4), Fraction(1, 6)]]) == 1
+    with pytest.raises(ValueError):
+        exact_rank([[1], [1, 1]])
+    with pytest.raises(ValueError):
+        exact_rank([[1, 1], [1]])
 
 
 def test_exact_rank_matches_naive():
@@ -58,6 +62,16 @@ def test_exact_rank_matches_naive():
         matrix = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                    for _ in range(cols)] for _ in range(rows)]
         assert exact_rank(matrix) == naive_rank(matrix)
+    # duplicate, zero and negative-led rows, and zero columns
+    rng = random.Random(5)
+    for _ in range(200):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        matrix = [[rng.choice((-1, 0, 0, 1)) for _ in range(cols)] for _ in range(rows)]
+        assert exact_rank(matrix) == naive_rank(matrix)
+    # leading pivots other than 1 take the cross-multiplication
+    assert exact_rank([[2, 3], [3, 5]]) == naive_rank([[2, 3], [3, 5]]) == 2
+    assert exact_rank([[2, 4], [3, 6]]) == naive_rank([[2, 4], [3, 6]]) == 1
 
 
 # -- tables ----------------------------------------------------------------------

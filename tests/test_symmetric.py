@@ -54,6 +54,13 @@ def test_conjugate_is_involution():
             assert conjugate(conjugate(lam)) == lam
 
 
+def test_conjugate_matches_column_counts():
+    for k in range(13):
+        for lam in partitions_of(k):
+            counts = tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1)) if lam else ()
+            assert conjugate(lam) == counts
+
+
 def test_partitions_of_counts():
     assert [len(partitions_of(k)) for k in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
 

@@ -9,7 +9,6 @@ from latdiag.verify import (
     SuiteConfig,
     enumerate_universe,
     find_stage_order_witness,
-    format_suite_config,
     operator_polynomial,
     parse_suite_config,
     run_suite,
@@ -87,7 +86,16 @@ def test_universe_cap_counts_before_building():
 def test_config_round_trip():
     cfg = SuiteConfig(max_cells=2, box_rows=2, box_cols=3, max_weight=2,
                       axes=("x",), operators=("p", "s"), fail_fast=False)
-    assert parse_suite_config(format_suite_config(cfg)) == cfg
+    text = """
+    max_cells=2
+    box_rows=2
+    box_cols=3
+    max_weight=2
+    axes=x
+    operators=p,s
+    fail_fast=false
+    """
+    assert parse_suite_config(text) == cfg
 
 
 def test_config_parsing():
