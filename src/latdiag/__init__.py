@@ -16,13 +16,12 @@ from .diagrams import (
     delta,
     epsilon,
     ferrers,
-    lex_compare,
     normalize,
     parse_diagram,
     transpose,
 )
 from .errors import ResourceLimitError
-from .hilbert import HilbertTable, hilbert, total_dimension
+from .hilbert import HilbertTable, hilbert
 from .operators import (
     apply_e_alpha,
     apply_elementary,

@@ -38,12 +38,6 @@ def lex_key(cell: Cell) -> tuple[int, int]:
     return (q, p)
 
 
-def lex_compare(a: Cell, b: Cell) -> int:
-    """Total order on cells: column first, then row. Returns -1, 0, or 1."""
-    ka, kb = lex_key(a), lex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 @dataclass(frozen=True)
 class LatticeDiagram:
     """An ordered list of cells, weakly increasing in the lexicographic order."""
@@ -62,9 +56,6 @@ class LatticeDiagram:
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
-
-    def __getitem__(self, i: int) -> Cell:
-        return self.cells[i]
 
     @property
     def row_weight(self) -> int:

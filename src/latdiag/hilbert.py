@@ -183,8 +183,3 @@ def _insert(pivots: dict[int, Row], row: Row) -> None:
             g = math.gcd(*row.values())
             if g > 1:
                 row = {m: c // g for m, c in row.items()}
-
-
-def total_dimension(diagram: LatticeDiagram) -> int:
-    """Dimension of the full derivative span (the n! value for Ferrers diagrams)."""
-    return hilbert(diagram).total

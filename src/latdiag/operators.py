@@ -32,8 +32,9 @@ from .diagrams import (
     normalize,
     transpose,
 )
+from .errors import ResourceLimitError
 from .polynomials import Polynomial, check_axis
-from .tableaux import ColumnTableau, enumerate_column_families, enumerate_cs_tableaux
+from .tableaux import ENUMERATION_CAP, ColumnTableau, enumerate_column_families, enumerate_cs_tableaux
 
 
 def _check_rule_input(diagram: LatticeDiagram, axis: str) -> None:
@@ -126,13 +127,18 @@ def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTable
     signed_tableaux(n) whose every epsilon_prime stage survives; surviving
     moves never reorder the cells. A degree above the diagram's weight on the
     axis gives the empty sum without any tableau. Along y the rule runs on the
-    transposed diagram and transposes each combined term back once."""
+    transposed diagram and transposes each combined term back once. Each
+    tableau moves every cell, so tableaux times cells are counted as they are
+    walked, and a count past ENUMERATION_CAP raises ResourceLimitError."""
     _check_rule_input(diagram, axis)
     if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
         return SignedDiagramSum(len(diagram))
     L, base_sign = (diagram, 1) if axis == "x" else transpose(diagram)
     moved = SignedDiagramSum(len(L))
-    for sign, tab in signed_tableaux(len(L)):
+    for count, (sign, tab) in enumerate(signed_tableaux(len(L)), 1):
+        if count * len(L) > ENUMERATION_CAP:
+            raise ResourceLimitError(f"{count * len(L)} tableau cells for the staged rule,"
+                                     f" enumeration cap is {ENUMERATION_CAP}")
         result = epsilon_prime(tab, L)
         if result.value:
             d, resort_sign = normalize(result.final)

@@ -5,7 +5,7 @@ there is no floating point anywhere. Polynomials are immutable values (all
 arithmetic returns fresh objects), so they are safe to share across threads.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
-has an empty term map and reports its degrees as None.
+has an empty term map, so it is falsy and has no bidegrees.
 
 `Polynomial(...)` validates every term it is given: parsed text, builders
 that pass ints, callers outside the package. Results whose terms are valid
@@ -104,10 +104,6 @@ class Polynomial:
 
     # -- basic structure ----------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -121,34 +117,10 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def total_degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
-
-    def degree(self, axis: str) -> int | None:
-        """Maximal degree in one alphabet, or None for the zero polynomial."""
-        check_axis(axis)
-        if not self.terms:
-            return None
-        n = self.nvars
-        lo, hi = (0, n) if axis == "x" else (n, 2 * n)
-        return max(sum(m[lo:hi]) for m in self.terms)
-
     def bidegrees(self) -> set[tuple[int, int]]:
         """Set of (x-degree, y-degree) pairs appearing among the terms."""
         n = self.nvars
         return {(sum(m[:n]), sum(m[n:])) for m in self.terms}
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """The unique bidegree of a bihomogeneous polynomial (None when zero)."""
-        degs = self.bidegrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"polynomial is not bihomogeneous: bidegrees {sorted(degs)}")
-        return next(iter(degs))
 
     # -- arithmetic ----------------------------------------------------
 

@@ -39,10 +39,6 @@ class ColumnTableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(col) for col in self.columns)
 
-    @property
-    def num_columns(self) -> int:
-        return len(self.columns)
-
     def entry_multiplicities(self) -> dict[int, int]:
         """How many times each entry occurs across all columns."""
         mult: dict[int, int] = {}
@@ -50,10 +46,6 @@ class ColumnTableau:
             for v in col:
                 mult[v] = mult.get(v, 0) + 1
         return mult
-
-    def word(self) -> tuple[int, ...]:
-        """All entries sorted increasingly (the merged word of the whole tableau)."""
-        return tuple(sorted(v for col in self.columns for v in col))
 
     def with_columns(self, j: int, left: tuple[int, ...], right: tuple[int, ...]) -> "ColumnTableau":
         """Copy with columns j and j+1 replaced."""
@@ -64,16 +56,15 @@ class ColumnTableau:
         return "|".join(",".join(str(v) for v in col) if col else "_" for col in self.columns)
 
 
-def parse_tableau(text: str, max_entry: int | None = None) -> ColumnTableau:
+def parse_tableau(text: str) -> ColumnTableau:
     """Parse the "|"-separated column format, e.g. "7,8,10|3,9|4,5,6,8".
 
-    An empty column is written "_". Entries are listed bottom to top.
+    An empty column is written "_". Entries are listed bottom to top, and
+    max_entry is the largest entry.
     """
     chunks = [chunk.strip() for chunk in text.split("|")]
     cols = [() if chunk == "_" else parse_ints(chunk, "column") for chunk in chunks]
-    if max_entry is None:
-        max_entry = max((col[-1] for col in cols if col), default=0)
-    return ColumnTableau(tuple(cols), max_entry)
+    return ColumnTableau(tuple(cols), max((col[-1] for col in cols if col), default=0))
 
 
 @dataclass(frozen=True)
@@ -164,7 +155,8 @@ def is_column_strict(tableau: ColumnTableau) -> bool:
     return all(word_pair(cols[j], cols[j + 1]).r == 0 for j in range(len(cols) - 1))
 
 
-# Most columns one enumeration may write, counted before each stage or family.
+# Most columns one enumeration may write, counted before each stage or family;
+# operators.staged_rule also bounds its tableaux times cells by it.
 # Slowest admitted, as measured: (1,1,1,1) on 71 entries, 971,635 tableaux, 7 s.
 ENUMERATION_CAP = 10**6
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 from .combinat import check_partition, partitions_of
@@ -146,7 +146,6 @@ def verify_instance(op: str, param, diagram: LatticeDiagram, axis: str = "x") ->
 UNIVERSE_CAP = 10_000
 
 
-@cache
 def enumerate_universe(max_cells: int, box_rows: int, box_cols: int) -> tuple[LatticeDiagram, ...]:
     """All diagrams with 1..max_cells distinct cells inside the box, ordered by
     size then by cell combination. Raises ResourceLimitError when there would

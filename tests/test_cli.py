@@ -360,6 +360,21 @@ def test_capped_commands_exit_2_at_once(capsys, argv):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("op, param", [("e", "2"), ("s", "1,1")])
+def test_staged_rule_caps_tableaux_times_cells(op, param):
+    # The full 25x40 box: 499,500 tableaux pass the column count, but each
+    # moves all 1,000 cells. Enumerating them alone takes seconds, so the
+    # command runs in its own process, which also drops their cache.
+    box = ";".join(f"{p},{q}" for q in range(40) for p in range(25))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "latdiag.cli", "apply", "--op", op, "--param", param,
+                           "--diagram", box], env=env, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: 1001000 tableau cells for the staged rule, enumeration cap is 1000000\n"
+
+
 def test_schur_oracle_builds_from_tableaux_at_once(capsys):
     # Each s_lambda has at most 455 tableaux here; the Jacobi-Trudi
     # determinant would walk lam[0]! staircase permutations (14! for (14)).

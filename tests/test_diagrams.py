@@ -19,7 +19,7 @@ from latdiag.diagrams import (
     delta,
     epsilon,
     ferrers,
-    lex_compare,
+    lex_key,
     normalize,
     parse_diagram,
     transpose,
@@ -46,15 +46,15 @@ def brute_force_sign(cells):
 
 
 def test_lex_column_dominates():
-    assert lex_compare((1, 0), (0, 1)) == -1
+    assert lex_key((1, 0)) < lex_key((0, 1))
 
 
 def test_lex_same_column_row_decides():
-    assert lex_compare((0, 1), (1, 1)) == -1
+    assert lex_key((0, 1)) < lex_key((1, 1))
 
 
 def test_lex_equal():
-    assert lex_compare((2, 3), (2, 3)) == 0
+    assert lex_key((2, 3)) == lex_key((2, 3))
 
 
 # -- normalize ----------------------------------------------------------------
@@ -171,14 +171,19 @@ def test_delta_zero_iff_epsilon_zero():
     for m in range(1, 5):
         for cells in itertools.combinations_with_replacement(box, m):
             diagram = LatticeDiagram(cells)
-            assert delta(diagram).is_zero == (epsilon(diagram) == 0)
+            assert (not delta(diagram)) == (epsilon(diagram) == 0)
     negative, _ = normalize([(-1, 0), (1, 0)])
-    assert delta(negative).is_zero
+    assert not delta(negative)
 
 
 def test_delta_bihomogeneous():
     diagram = ferrers((2, 2))
-    assert delta(diagram).bidegree() == (diagram.row_weight, diagram.column_weight)
+    assert delta(diagram).bidegrees() == {(diagram.row_weight, diagram.column_weight)}
+
+
+def test_delta_needs_a_cell():
+    with pytest.raises(ValueError):
+        delta(LatticeDiagram(()))
 
 
 def test_delta_cap(monkeypatch):

@@ -75,6 +75,11 @@ def test_weak_compositions_count():
     assert list(weak_compositions(0, 2)) == [(0, 0)]
 
 
+def test_weak_compositions_into_no_parts():
+    assert list(weak_compositions(0, 0)) == [()]
+    assert list(weak_compositions(1, 0)) == []
+
+
 # -- generators ------------------------------------------------------------------
 
 
@@ -88,9 +93,9 @@ def test_power_sum_examples():
 
 def test_elementary_examples():
     assert elementary(2, 2) == x(2, 1) * x(2, 2)
-    assert elementary(3, 2).is_zero
+    assert not elementary(3, 2)
     assert elementary(0, 5) == Polynomial.constant(5, 1)
-    assert elementary(-1, 3).is_zero
+    assert not elementary(-1, 3)
 
 
 def test_homogeneous_examples():
@@ -112,6 +117,24 @@ def test_term_counts():
             assert len(homogeneous(k, n).terms) == math.comb(n + k - 1, k)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: partitions_of(-1), id="partitions_of-negative"),
+    pytest.param(lambda: staircase(0), id="staircase-empty"),
+    pytest.param(lambda: staircase_orbit(()), id="staircase_orbit-empty"),
+    pytest.param(lambda: power_sum(0, 1), id="power_sum-k0"),
+    pytest.param(lambda: elementary(1, 0), id="elementary-n0"),
+    pytest.param(lambda: homogeneous(1, 0), id="homogeneous-n0"),
+    pytest.param(lambda: schur_tableaux((), 2), id="schur_tableaux-empty"),
+])
+def test_out_of_range_arguments_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_homogeneous_of_negative_degree_is_zero():
+    assert homogeneous(-1, 2) == Polynomial.zero(2)
+
+
 # -- Schur polynomials -------------------------------------------------------------
 
 
@@ -119,7 +142,7 @@ def test_schur_small_cases():
     assert schur_jacobi_trudi((1,), 2) == x(2, 1) + x(2, 2)
     assert schur_jacobi_trudi((1, 1), 2) == x(2, 1) * x(2, 2)
     assert schur_tableaux((1,), 1) == x(1, 1)
-    assert schur_tableaux((1, 1, 1), 2).is_zero
+    assert not schur_tableaux((1, 1, 1), 2)
     assert schur_tableaux((2,), 2) == homogeneous(2, 2)
 
 

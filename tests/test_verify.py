@@ -7,6 +7,7 @@ from latdiag.diagrams import LatticeDiagram, normalize
 from latdiag.errors import ResourceLimitError
 from latdiag.verify import (
     SuiteConfig,
+    combinatorial_sum,
     enumerate_universe,
     find_stage_order_witness,
     operator_polynomial,
@@ -33,7 +34,7 @@ def test_verify_trivial_instances():
 
     report = verify_instance("h", 2, D((0, 0), (2, 0)), "y")
     assert report.match
-    assert report.expected.is_zero and report.actual.is_zero
+    assert not report.expected and not report.actual
 
     # the "ea" dispatch of combinatorial_sum, along both axes
     for axis in ("x", "y"):
@@ -53,6 +54,11 @@ def test_verify_schur_on_its_own_shape():
 def test_verify_unknown_operator():
     with pytest.raises(ValueError):
         verify_instance("q", 1, D((1, 0)), "x")
+
+
+def test_combinatorial_sum_unknown_operator():
+    with pytest.raises(ValueError):
+        combinatorial_sum("q", 1, D((1, 0)))
 
 
 # -- universe -----------------------------------------------------------------
