@@ -121,33 +121,50 @@ def epsilon_prime(tableau: ColumnTableau, diagram: LatticeDiagram) -> EpsilonPri
     return EpsilonPrimeResult(value, tuple(cells), tuple(stages), tuple(stage_values))
 
 
+def _surviving_move(tableau: ColumnTableau, cells: tuple[Cell, ...]) -> list[Cell] | None:
+    """epsilon_prime's final cells when its value is 1, else None, stopping at the
+    first stage that leaves the quadrant or collides; entries lie in 1..len(cells)."""
+    cells, occupied = list(cells), set(cells)
+    for col in reversed(tableau.columns):
+        for entry in col:
+            occupied.remove(cells[entry - 1])
+        for entry in col:
+            p, q = cells[entry - 1]
+            if p == 0 or (p - 1, q) in occupied:
+                return None
+            cells[entry - 1] = (p - 1, q)
+            occupied.add((p - 1, q))
+    return cells
+
+
 def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTableau]]],
                 diagram: LatticeDiagram, axis: str, degree: int) -> SignedDiagramSum:
     """Sum of sign times the moved diagram over the (sign, tableau) pairs of
-    signed_tableaux(n) whose every epsilon_prime stage survives; surviving
-    moves never reorder the cells. A degree above the diagram's weight on the
-    axis gives the empty sum without any tableau. Along y the rule runs on the
-    transposed diagram and transposes each combined term back once. Each
-    tableau moves every cell, so tableaux times cells are counted as they are
+    signed_tableaux(n) whose every epsilon_prime stage survives, dropping each
+    at its first dead stage; surviving moves never reorder the cells. A degree
+    above the diagram's weight on the axis gives the empty sum without any
+    tableau. Along y the rule runs on the transposed diagram and transposes
+    each combined term back once. Tableaux times cells are counted as they are
     walked, and a count past ENUMERATION_CAP raises ResourceLimitError."""
     _check_rule_input(diagram, axis)
     if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
         return SignedDiagramSum(len(diagram))
     L, base_sign = (diagram, 1) if axis == "x" else transpose(diagram)
-    moved = SignedDiagramSum(len(L))
-    for count, (sign, tab) in enumerate(signed_tableaux(len(L)), 1):
-        if count * len(L) > ENUMERATION_CAP:
-            raise ResourceLimitError(f"{count * len(L)} tableau cells for the staged rule,"
+    n = len(L)
+    moved = SignedDiagramSum(n)
+    for count, (sign, tab) in enumerate(signed_tableaux(n), 1):
+        if count * n > ENUMERATION_CAP:
+            raise ResourceLimitError(f"{count * n} tableau cells for the staged rule,"
                                      f" enumeration cap is {ENUMERATION_CAP}")
-        result = epsilon_prime(tab, L)
-        if result.value:
-            d, resort_sign = normalize(result.final)
+        final = _surviving_move(tab, L.cells)
+        if final is not None:
+            d, resort_sign = normalize(final)
             if resort_sign != 1:
                 raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]")
             moved.add(d, sign)
     if axis == "x":
         return moved
-    out = SignedDiagramSum(len(L))
+    out = SignedDiagramSum(n)
     for d, c in moved.items():
         back, resort_sign = transpose(d)
         out.add(back, c * base_sign * resort_sign)

@@ -1,15 +1,19 @@
+import importlib.util
 import itertools
+import random
 import time
+from pathlib import Path
 
 import pytest
 
-from latdiag.combinat import partitions_of
+from latdiag.combinat import partitions_of, staircase_orbit
 from latdiag.diagrams import (
     LatticeDiagram,
     SignedDiagramSum,
     delta,
     epsilon,
     normalize,
+    transpose,
 )
 from latdiag.operators import (
     apply_e_alpha,
@@ -24,8 +28,8 @@ from latdiag.operators import (
 )
 from latdiag.polynomials import diff_operator
 from latdiag.symmetric import elementary, homogeneous, power_sum, schur_jacobi_trudi
-from latdiag.tableaux import ColumnTableau, enumerate_cs_tableaux, psi_step
-from latdiag.verify import enumerate_universe
+from latdiag.tableaux import ColumnTableau, enumerate_column_families, enumerate_cs_tableaux, psi_step
+from latdiag.verify import enumerate_universe, schur_left_to_right
 
 
 def D(*cells):
@@ -246,6 +250,75 @@ def test_schur_column_shape_is_elementary():
     for diagram in enumerate_universe(4, 3, 3):
         for k in (1, 2, 3):
             assert apply_schur((1,) * k, diagram) == apply_elementary(k, diagram)
+
+
+def recorded_staged_rule(signed_tableaux, param, diagram, axis):
+    """The staged sum read off epsilon_prime's full stage records: normalise
+    the final cells of every tableau whose value is 1. Independent of the
+    first-dead-stage walk in operators.staged_rule."""
+    if sum(param) > (diagram.row_weight if axis == "x" else diagram.column_weight):
+        return SignedDiagramSum(len(diagram))
+    L, base_sign = (diagram, 1) if axis == "x" else transpose(diagram)
+    moved = SignedDiagramSum(len(L))
+    for sign, tab in signed_tableaux(param, len(L)):
+        result = epsilon_prime(tab, L)
+        if result.value:
+            d, resort_sign = normalize(result.final)
+            assert resort_sign == 1
+            moved.add(d, sign)
+    if axis == "x":
+        return moved
+    out = SignedDiagramSum(len(L))
+    for d, c in moved.items():
+        back, resort_sign = transpose(d)
+        out.add(back, c * base_sign * resort_sign)
+    return out
+
+
+def schur_tableaux(lam, n):
+    return ((1, tab) for tab in enumerate_cs_tableaux(lam, n))
+
+
+PARTITIONS = [lam for k in (1, 2, 3, 4) for lam in partitions_of(k)]
+# Each staged caller: the rule, its parameters, and its signed tableaux.
+STAGED_CALLERS = {
+    "apply_schur": (apply_schur, PARTITIONS, schur_tableaux),
+    "schur_left_to_right": (schur_left_to_right, PARTITIONS, lambda lam, n: (
+        (1, ColumnTableau(tab.columns[::-1], n)) for tab in enumerate_cs_tableaux(lam, n))),
+    "apply_schur_via_jacobi_trudi": (apply_schur_via_jacobi_trudi, PARTITIONS, lambda lam, n: (
+        (sign, tab) for _, sign, alpha in staircase_orbit(lam)
+        for tab in enumerate_column_families(alpha, n))),
+    "apply_e_alpha": (apply_e_alpha, [(1,), (2,), (1, 1), (2, 1), (1, 0, 2), (-1, 2)],
+                      lambda alpha, n: ((1, tab) for tab in enumerate_column_families(alpha, n))),
+}
+
+
+def seeded_diagrams(count=40, box=6, seed=13):
+    """count distinct-celled diagrams of 5 to 8 cells in a box x box square."""
+    rng = random.Random(seed)
+    cells = [(p, q) for p in range(box) for q in range(box)]
+    return [normalize(rng.sample(cells, rng.randint(5, 8)))[0] for _ in range(count)]
+
+
+@pytest.mark.parametrize("caller", STAGED_CALLERS)
+def test_staged_rule_matches_recorded_stages(caller):
+    rule, params, signed_tableaux = STAGED_CALLERS[caller]
+    for diagram in list(enumerate_universe(4, 3, 3)) + seeded_diagrams():
+        for axis in ("x", "y"):
+            for param in params:
+                expected = recorded_staged_rule(signed_tableaux, param, diagram, axis)
+                assert str(rule(param, diagram, axis)) == str(expected), (
+                    param, str(diagram), axis)
+
+
+def test_staged_rule_matches_recorded_stages_on_the_benchmark_ops():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("schur_apply_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for lam, diagram, axis in workloads.SchurApply().ops(1):
+        expected = recorded_staged_rule(schur_tableaux, lam, diagram, axis)
+        assert str(apply_schur(lam, diagram, axis)) == str(expected), (lam, str(diagram), axis)
 
 
 # -- the signed orbit route ----------------------------------------------------------------

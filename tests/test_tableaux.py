@@ -127,6 +127,29 @@ def test_enumerate_families_counts():
             assert len(enumerate_column_families(alpha, n)) == expected
 
 
+def compositions_of(k):
+    """Every composition of k into positive parts, one per set of cut points."""
+    for r in range(k):
+        for cuts in itertools.combinations(range(1, k), r):
+            bounds = (0,) + cuts + (k,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_enumerated_tableaux_revalidate_unchanged():
+    # Both enumerations skip ColumnTableau's validation; each result must be
+    # what the validating constructor would have built.
+    for k in range(1, 6):
+        shapes = [(enumerate_cs_tableaux, lam) for lam in partitions_of(k)]
+        shapes += [(enumerate_column_families, alpha) for alpha in compositions_of(k)]
+        for enumerate_shape, shape in shapes:
+            for n in range(1, 7):
+                for t in enumerate_shape(shape, n):
+                    assert t == ColumnTableau(t.columns, n), (shape, n, t)
+                    assert type(t.columns) is tuple and type(t.max_entry) is int
+                    assert all(type(col) is tuple and all(type(v) is int for v in col)
+                               for col in t.columns), (shape, n, t)
+
+
 # -- words and pairing --------------------------------------------------------------
 
 

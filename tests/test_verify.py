@@ -190,6 +190,7 @@ def test_witness_monomial_sits_on_one_side():
 def test_stage_order_witness_exists():
     witness = find_stage_order_witness()
     assert witness is not None
+    assert (witness.lam, str(witness.diagram)) == ((2,), "1,0;2,0")
     assert witness.right_to_left_value != witness.left_to_right_value
     from latdiag.operators import expand
 
