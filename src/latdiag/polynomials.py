@@ -1,8 +1,10 @@
 """Exact sparse polynomial arithmetic in the paired alphabets x1..xn, y1..yn.
 
 Coefficients are arbitrary-precision rationals and every operation is exact;
-there is no floating point anywhere. Polynomials are immutable values (all
-arithmetic returns fresh objects), so they are safe to share across threads.
+there is no floating point anywhere. `diff_operator` scales each side to
+integer numerators over one common denominator and multiplies ints.
+Polynomials are immutable values (all arithmetic returns fresh objects), so
+they are safe to share across threads.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
 has an empty term map, so it is falsy and has no bidegrees.
@@ -225,23 +227,28 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
     corresponding partial derivative."""
     if operator.nvars != target.nvars:
         raise ValueError(f"mismatched nvars: {operator.nvars} vs {target.nvars}")
-    width = 2 * operator.nvars
-    out: dict[Monomial, Fraction] = {}
-    for dmono, dcoeff in operator.terms.items():
-        for tmono, tcoeff in target.terms.items():
-            coeff = dcoeff * tcoeff
-            key = []
-            for pos in range(width):
-                e, a = tmono[pos], dmono[pos]
+    dden = math.lcm(*(c.denominator for c in operator.terms.values()))
+    tden = math.lcm(*(c.denominator for c in target.terms.values()))
+    # Each operator monomial as its nonzero (position, exponent) pairs.
+    ops = [([(pos, a) for pos, a in enumerate(dmono) if a], c.numerator * (dden // c.denominator))
+           for dmono, c in operator.terms.items()]
+    nums = [(tmono, c.numerator * (tden // c.denominator)) for tmono, c in target.terms.items()]
+    out: dict[Monomial, int] = {}
+    for pairs, dnum in ops:
+        for tmono, tnum in nums:
+            coeff = dnum * tnum
+            key = list(tmono)
+            for pos, a in pairs:
+                e = key[pos]
                 if e < a:
                     break
-                if a:
-                    coeff *= math.perm(e, a)
-                key.append(e - a)
+                coeff *= math.perm(e, a)
+                key[pos] = e - a
             else:
                 k = tuple(key)
                 out[k] = out.get(k, 0) + coeff
-    return Polynomial._trusted(target.nvars, {m: c for m, c in out.items() if c})
+    den = dden * tden
+    return Polynomial._trusted(target.nvars, {m: Fraction(c, den) for m, c in out.items() if c})
 
 
 def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:

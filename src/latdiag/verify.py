@@ -33,9 +33,10 @@ from .tableaux import ColumnTableau, enumerate_cs_tableaux
 
 OP_KINDS = ("p", "e", "h", "s")
 # Cap on the term pairs diff_operator visits: the operator's monomials times
-# the n! terms of delta. `latdiag verify` timed on CPython 3.11, one Xeon core:
-# p_2 on 8 cells (bound 322,560) and h_3 on 7 (423,360) take 3-4 s; s_(8) on 6
-# (926,640) takes 11 s and h_2 on 8 (1,451,520) 17 s.
+# the n! terms of delta. `latdiag verify`, process start to exit, on CPython
+# 3.11.7 and a 2-vCPU Xeon VM: p_2 on 8 cells (bound 322,560) and h_3 on 7
+# (423,360) take 0.3-0.5 s; past the cap, s_(8) on 6 (926,640) takes 0.4 s and
+# h_2 on 8 (1,451,520) 1.8 s.
 ORACLE_CAP = 500_000
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from latdiag.polynomials import (
     parse_polynomial,
 )
 from latdiag.symmetric import power_sum
-from latdiag.verify import enumerate_universe
+from latdiag.verify import SuiteConfig, enumerate_universe, operator_polynomial, suite_instances
 
 
 def x(n, i):
@@ -264,6 +265,93 @@ def test_arithmetic_keeps_invariants(pair, c):
     for result in (a + b, a - b, -a, a * b, c * a, a * 3, diff_operator(a, b),
                    a.partial("y", 1), a.swap_alphabets()):
         assert_canonical(result)
+
+
+# -- diff_operator against a plain Fraction loop ------------------------------
+
+
+def _reference_diff_operator(operator, target):
+    """diff_operator as a plain loop over every term pair and all 2n positions,
+    multiplying Fractions."""
+    width = 2 * operator.nvars
+    out = {}
+    for dmono, dcoeff in operator.terms.items():
+        for tmono, tcoeff in target.terms.items():
+            coeff = dcoeff * tcoeff
+            key = []
+            for pos in range(width):
+                e, a = tmono[pos], dmono[pos]
+                if e < a:
+                    break
+                if a:
+                    coeff *= math.perm(e, a)
+                key.append(e - a)
+            else:
+                k = tuple(key)
+                out[k] = out.get(k, 0) + coeff
+    return Polynomial(target.nvars, out)
+
+
+def assert_matches_reference(operator, target):
+    result = diff_operator(operator, target)
+    assert result == _reference_diff_operator(operator, target)
+    assert_canonical(result)
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_pairs())
+def test_diff_operator_matches_reference(pair):
+    assert_matches_reference(*pair)
+
+
+def test_diff_operator_matches_reference_on_the_desk_universe():
+    pairs = 0
+    for op, param, diagram, axis in suite_instances(SuiteConfig(axes=("x",))):
+        assert_matches_reference(operator_polynomial(op, param, len(diagram), axis), delta(diagram))
+        pairs += 1
+    assert pairs == 3825
+
+
+def test_diff_operator_constant_terms():
+    target = Fraction(5, 6) * x(2, 1) * y(2, 2) + Polynomial.constant(2, Fraction(-1, 4))
+    third = Fraction(2, 3)
+    assert assert_matches_reference(Polynomial.constant(2, third), target) == third * target
+    operator = Polynomial.constant(2, 3) + x(2, 1)
+    expected = 3 * target + Fraction(5, 6) * y(2, 2)
+    assert assert_matches_reference(operator, target) == expected
+
+
+def test_diff_operator_zero_sides():
+    p = x(3, 1) + Fraction(1, 2) * y(3, 3)
+    for operator, target in ((Polynomial.zero(3), p), (p, Polynomial.zero(3)),
+                             (Polynomial.zero(3), Polynomial.zero(3))):
+        result = assert_matches_reference(operator, target)
+        assert not result and result.nvars == 3
+
+
+def test_diff_operator_drops_pairs_past_the_target_exponent():
+    square = x(2, 1) * x(2, 1)
+    assert not assert_matches_reference(square * y(2, 1), square * x(2, 2))
+    target = x(2, 1) + Fraction(1, 3) * square * x(2, 1)
+    assert assert_matches_reference(square, target) == 2 * x(2, 1)
+
+
+def test_diff_operator_drops_exact_cancellation():
+    operator = Fraction(1, 2) * x(2, 1) - Fraction(1, 3) * x(2, 2)
+    target = 2 * x(2, 1) + 3 * x(2, 2) + x(2, 1) * y(2, 1)
+    result = assert_matches_reference(operator, target)
+    assert result == Fraction(1, 2) * y(2, 1)
+    assert list(result.terms) == [(0, 0, 1, 0)]
+
+
+def test_diff_operator_mixed_denominators():
+    # Denominators 4 and 6 on each side: one common denominator 12 per side.
+    operator = Fraction(1, 4) * x(2, 1) + Fraction(1, 6) * x(2, 2)
+    target = Fraction(1, 6) * x(2, 1) * x(2, 1) + Fraction(1, 4) * x(2, 1) * x(2, 2)
+    result = assert_matches_reference(operator, target)
+    assert result.terms == {(1, 0, 0, 0): Fraction(1, 8), (0, 1, 0, 0): Fraction(1, 16)}
+    assert all(type(c) is Fraction for c in result.terms.values())
 
 
 # -- the text grammar ---------------------------------------------------------
