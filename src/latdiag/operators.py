@@ -4,8 +4,8 @@ Each rule turns an operator application into a signed sum of diagrams whose
 determinants add up to the honest derivative. p_k moves one cell k steps
 along its own axis, k rows down along x and k columns left along y, and
 resorts with the sign. Every other rule is a staged sum over tableaux whose
-entries drop cells one row at a time: e_alpha over column families of shape
-alpha, and s_lambda over column-strict Young tableaux of shape lambda, with
+entries drop cells one row at a time: s_lambda over the column-strict Young
+tableaux of shape lambda, e_alpha over those of columns alpha sharing no row,
 e_k the one-column e_(k) and h_k the one-row s_(k). Only these staged rules
 transpose: along y they run on the transposed diagram, with the two resort
 signs multiplied into each coefficient, because a one-column move can
@@ -158,9 +158,10 @@ def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTable
                                      f" enumeration cap is {ENUMERATION_CAP}")
         final = _surviving_move(tab, L.cells)
         if final is not None:
-            d, resort_sign = normalize(final)
-            if resort_sign != 1:
-                raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]")
+            try:
+                d = LatticeDiagram(tuple(final))
+            except ValueError:
+                raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]") from None
             moved.add(d, sign)
     if axis == "x":
         return moved

@@ -3,9 +3,9 @@
 A column tableau is a tuple of strictly increasing columns read bottom to
 top; the shape is the composition of column heights. Column-strict Young
 tableaux are the members whose shape is a partition and whose rows weakly
-increase, which the pairing criterion detects without looking at rows;
-enumerate_cs_tableaux builds them directly (their contents give s_lambda),
-sizing the shape before its lam[0]-long conjugate is built.
+increase, which the pairing criterion detects without looking at rows. One
+enumeration fills columns by row range: enumerate_cs_tableaux's start on the
+bottom row, enumerate_column_families' are stacked so no two share a row.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ class ColumnTableau:
             for v in col:
                 mult[v] = mult.get(v, 0) + 1
         return mult
-
-    def with_columns(self, j: int, left: tuple[int, ...], right: tuple[int, ...]) -> "ColumnTableau":
-        """Copy with columns j and j+1 replaced."""
-        cols = self.columns[:j] + (left, right) + self.columns[j + 2:]
-        return ColumnTableau(cols, self.max_entry)
 
     def __str__(self) -> str:
         return "|".join(",".join(str(v) for v in col) if col else "_" for col in self.columns)
@@ -163,59 +158,62 @@ def is_column_strict(tableau: ColumnTableau) -> bool:
     return all(word_pair(cols[j], cols[j + 1]).r == 0 for j in range(len(cols) - 1))
 
 
-# Most columns one enumeration may write, counted before each stage or family;
+# Most columns one enumeration may write, counted before each stage;
 # operators.staged_rule also bounds its tableaux times cells by it.
 # Slowest admitted, as measured: (1,1,1,1) on 71 entries, 971,635 tableaux, 2.5-3.2 s, 247 MB.
 ENUMERATION_CAP = 10**6
 
 
-def _check_count(count: int, what: str) -> None:
+def _check_count(count: int) -> None:
     if count > ENUMERATION_CAP:
-        raise ResourceLimitError(f"{count} {what}, enumeration cap is {ENUMERATION_CAP}")
+        raise ResourceLimitError(f"{count} columns for column-strict tableaux, enumeration cap is {ENUMERATION_CAP}")
+
+
+def _fillings(outer: tuple[int, ...], inner: tuple[int, ...], n: int) -> tuple[ColumnTableau, ...]:
+    """Column-strict fillings, entries in 1..n, in increasing column reading
+    word, of the shape whose column j covers rows inner[j] .. outer[j]-1
+    (inner weakly decreasing). A candidate column is kept when it is row-wise
+    at least the column before on the rows they share. Before each stage the
+    partial tableaux times candidates times columns so far join one count."""
+    built: list[tuple[tuple[int, ...], ...]] = [()]
+    count = 0
+    for j, (top, bottom) in enumerate(zip(outer, inner)):
+        count += len(built) * math.comb(max(n, 0), top - bottom) * (j + 1)
+        _check_count(count)
+        pool = list(itertools.combinations(range(1, n + 1), top - bottom))
+        skip = inner[j - 1] - bottom if j else 0  # rows below the previous column
+
+        @cache  # the candidates kept after each previous column; an empty one keeps all
+        def fits(prev: tuple[int, ...]) -> list[tuple[int, ...]]:
+            return [col for col in pool if all(a >= b for a, b in zip(col[skip:], prev))] if prev else pool
+        built = [cols + (col,) for cols in built for col in fits(cols[-1] if cols else ())]
+    return tuple(ColumnTableau._trusted(cols, n) for cols in built)
 
 
 @cache
 def enumerate_column_families(alpha: tuple[int, ...], n: int) -> tuple[ColumnTableau, ...]:
-    """All tuples of strict columns of the given heights with entries in 1..n.
-
-    Any negative height makes the family empty. The columns written are the
-    product of binomial(n, alpha_j) times the number of parts; above
-    ENUMERATION_CAP it raises ResourceLimitError before any family is built.
-    """
+    """All tuples of strict columns of the given heights with entries in 1..n,
+    in itertools.product order; a negative height empties the family. Column
+    j covers rows alpha_(j+1) + ... + alpha_m up to alpha_j + ... + alpha_m,
+    so no two columns share a row."""
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         return ()
-    columns = math.prod(math.comb(max(n, 0), a) for a in alpha) * len(alpha)
-    _check_count(columns, "columns for column families")
-    pools = [list(itertools.combinations(range(1, n + 1), a)) for a in alpha]
-    return tuple(ColumnTableau._trusted(cols, n) for cols in itertools.product(*pools))
+    outer = tuple(itertools.accumulate(reversed(alpha)))[::-1]
+    return _fillings(outer, outer[1:] + (0,), n)
 
 
 @cache
 def enumerate_cs_tableaux(lam: tuple[int, ...], n: int) -> tuple[ColumnTableau, ...]:
     """All column-strict Young tableaux of partition shape lam, entries in 1..n,
-    in increasing order of their column reading word.
-
-    Built column by column, left to right: each column is a strict subset of
-    1..n, kept when row by row its entries are at least those of the column
-    before it. Every partial tableau extends, so nothing built is thrown
-    away; a shape with more than n rows has none. ENUMERATION_CAP bounds
-    lam[0], at most the columns written, before conjugating, and before each
-    stage a running count of partial tableaux times candidates times columns.
-    """
+    in increasing order of their column reading word. A shape with more than
+    n rows has none; ENUMERATION_CAP bounds lam[0], the columns of the last
+    stage, before the conjugate is built."""
     lam = check_partition(lam)
     if lam and len(lam) > n:
         return ()
-    _check_count(max(lam, default=0), "columns for column-strict tableaux")
-    built: list[tuple[tuple[int, ...], ...]] = [()]
-    count = 0
-    for j, h in enumerate(conjugate(lam)):
-        count += len(built) * math.comb(max(n, 0), h) * (j + 1)
-        _check_count(count, "columns for column-strict tableaux")
-        pool = list(itertools.combinations(range(1, n + 1), h))
-        built = [cols + (col,) for cols in built for col in pool
-                 if not cols or all(a >= b for a, b in zip(col, cols[-1]))]
-    return tuple(ColumnTableau._trusted(cols, n) for cols in built)
+    _check_count(max(lam, default=0))
+    return _fillings(conjugate(lam), (0,) * max(lam, default=0), n)
 
 
 def find_violating_pair(tableau: ColumnTableau) -> tuple[int, int] | None:
@@ -286,10 +284,10 @@ def psi_step(tableau: ColumnTableau, lam: tuple[int, ...]) -> PsiStep:
     if violation is None:
         return PsiStep(tableau, tableau, True, None, None, None)
     i, j = violation
-    left, right = tableau.columns[j], tableau.columns[j + 1]
-    before = word_pair(left, right)
-    new_left, new_right = two_column_move(left, right)
-    result = tableau.with_columns(j, new_left, new_right)
+    cols = tableau.columns
+    before = word_pair(cols[j], cols[j + 1])
+    new_left, new_right = two_column_move(cols[j], cols[j + 1])
+    result = ColumnTableau(cols[:j] + (new_left, new_right) + cols[j + 2:], tableau.max_entry)
     return PsiStep(tableau, result, False, (i, j), before, word_pair(new_left, new_right))
 
 

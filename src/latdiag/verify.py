@@ -54,8 +54,8 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     k = sum(parts)
     if op in ("p", "e", "h") and k < 1:
         raise ValueError(f"operator {op!r} needs a parameter >= 1, got {k}")
-    monomials = n if op == "p" else math.comb(n, k) if op == "e" else math.comb(n + k - 1, k)
-    if k > 0 and monomials * math.factorial(n) > ORACLE_CAP:
+    monomials = 0 if k < 1 else n if op == "p" else math.comb(n, k) if op == "e" else math.comb(n + k - 1, k)
+    if monomials * math.factorial(n) > ORACLE_CAP:
         raise ResourceLimitError(f"the oracle for degree {k} on {n} cells exceeds the cap {ORACLE_CAP}")
     if op == "s":
         poly = schur_tableaux(parts, n)

@@ -127,6 +127,18 @@ def test_enumerate_families_counts():
             assert len(enumerate_column_families(alpha, n)) == expected
 
 
+def test_families_keep_product_order():
+    # The reference is the product of each column's strict subsets, left
+    # column slowest; a trailing zero part keeps its empty column.
+    assert [str(t) for t in enumerate_column_families((2, 0), 2)] == ["1,2|_"]
+    for m in range(1, 5):
+        for alpha in itertools.product(range(-1, 4), repeat=m):
+            for n in range(6):
+                expected = [] if min(alpha) < 0 else list(itertools.product(
+                    *(itertools.combinations(range(1, n + 1), a) for a in alpha)))
+                assert [t.columns for t in enumerate_column_families(alpha, n)] == expected, (alpha, n)
+
+
 def compositions_of(k):
     """Every composition of k into positive parts, one per set of cut points."""
     for r in range(k):
@@ -322,7 +334,8 @@ def test_cs_tableaux_strictly_increase_in_column_reading_word():
 
 
 def test_enumerations_above_the_cap_raise_before_building():
-    # 10^12 column families and C(41, 12) tableaux: both refused at once
+    # 10^12 column families, refused once the running count passes the cap
+    # after 10^5 partial families, and C(41, 12) tableaux, refused at once
     with pytest.raises(ResourceLimitError):
         enumerate_column_families((1,) * 12, 10)
     with pytest.raises(ResourceLimitError):

@@ -36,11 +36,16 @@ def test_verify_trivial_instances():
     assert report.match
     assert not report.expected and not report.actual
 
-    # the "ea" dispatch of combinatorial_sum, along both axes
+    # the "ea" dispatch of combinatorial_sum, along both axes; a negative
+    # degree is the zero operator on both sides
     for axis in ("x", "y"):
         report = verify_instance("ea", (1, 0, 2), D((1, 1), (2, 2)), axis)
         assert report.match
         assert len(report.expected.terms) == 2
+        for alpha in [(-2,), (-1, -1)]:
+            report = verify_instance("ea", alpha, D((0, 0), (1, 0), (2, 0)), axis)
+            assert report.match
+            assert not report.expected and not report.actual
 
 
 def test_verify_schur_on_its_own_shape():
