@@ -93,7 +93,7 @@ def _cmd_suite(args) -> tuple[int, dict, str]:
             overrides[key] = value
     if args.no_fail_fast:
         overrides["fail_fast"] = False
-    summary = run_suite(replace(cfg, **overrides), corrupt_stage_order=args.corrupt_stage_order)
+    summary = run_suite(replace(cfg, **overrides))
     return 0 if summary.ok else 1, summary.to_json_obj(), summary.describe()
 
 
@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--axes", help="comma-separated subset of x,y")
     p_suite.add_argument("--operators", help="comma-separated subset of " + ",".join(OP_KINDS))
     p_suite.add_argument("--no-fail-fast", action="store_true")
-    p_suite.add_argument("--corrupt-stage-order", action="store_true",
-                         help=argparse.SUPPRESS)
     p_suite.set_defaults(func=_cmd_suite)
 
     p_tab = sub.add_parser("tableaux", parents=[common],

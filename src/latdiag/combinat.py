@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -20,7 +21,7 @@ DETERMINANT_CAP = 9
 
 def check_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate and return a partition as a tuple (weakly decreasing, positive)."""
-    out = tuple(int(v) for v in parts)
+    out = tuple(map(index, parts))
     if any(v <= 0 for v in out):
         raise ValueError(f"partition parts must be positive, got {out}")
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator
 
 from .combinat import DETERMINANT_CAP, check_partition, lex_parities, parse_ints, permutation_sign
@@ -45,7 +46,7 @@ class LatticeDiagram:
     cells: tuple[Cell, ...]
 
     def __post_init__(self):
-        cells = tuple((int(p), int(q)) for p, q in self.cells)
+        cells = tuple((index(p), index(q)) for p, q in self.cells)
         object.__setattr__(self, "cells", cells)
         keys = [lex_key(c) for c in cells]
         if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
@@ -78,7 +79,7 @@ def normalize(cells: Iterable[Cell]) -> tuple[LatticeDiagram, int]:
     two cells are equal the sign is +1 by convention (the determinant is zero
     anyway, but the function stays total).
     """
-    cells = [(int(p), int(q)) for p, q in cells]
+    cells = [(index(p), index(q)) for p, q in cells]
     order = sorted(range(len(cells)), key=lambda i: lex_key(cells[i]))
     diagram = LatticeDiagram(tuple(cells[i] for i in order))
     if len(set(cells)) != len(cells):

@@ -20,6 +20,7 @@ so surviving intermediate diagrams never reorder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable
 
 from .combinat import check_partition, staircase_orbit
@@ -175,7 +176,7 @@ def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTable
 def apply_e_alpha(alpha: tuple[int, ...], diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
     """Product-of-elementaries rule: one term per column family of shape alpha,
     weighted by the staged coefficient. A negative part empties the sum."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(index, alpha))
     return staged_rule(lambda n: ((1, tab) for tab in enumerate_column_families(alpha, n)),
                        diagram, axis, sum(alpha))
 

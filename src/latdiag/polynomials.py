@@ -29,7 +29,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import getitem
+from operator import getitem, index
 from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
@@ -61,7 +61,7 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(map(index, mono))
                 if len(mono) != 2 * nvars:
                     raise ValueError(f"monomial {mono} needs {2 * nvars} exponents")
                 if any(e < 0 for e in mono):
@@ -257,7 +257,7 @@ def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:
     sigma is given in one-line notation with values 1..n.
     """
     n = poly.nvars
-    sig = tuple(int(v) for v in sigma)
+    sig = tuple(map(index, sigma))
     if sorted(sig) != list(range(1, n + 1)):
         raise ValueError(f"{sig} is not a permutation of 1..{n}")
     out: dict[Monomial, Fraction] = {}
@@ -291,11 +291,11 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         if not m or (pos and not m[1]):
             raise ValueError(f"malformed polynomial text at position {pos}: {text[pos:pos + 20]!r}")
         num, exps = 1, [0] * (2 * nvars)
-        for integer, axis, index, power in _FACTOR_RE.findall(m[2]):
+        for integer, axis, var, power in _FACTOR_RE.findall(m[2]):
             if integer:
                 num *= int(integer)
             else:
-                exps[_axis_offset(nvars, axis, int(index))] += int(power or 1)
+                exps[_axis_offset(nvars, axis, int(var))] += int(power or 1)
         den = int(m[3] or 1)
         if not den:
             raise ValueError(f"zero denominator in the term {m[0].strip()!r}")

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
+from operator import index
 
 from .combinat import check_partition, conjugate, parse_ints, permutation_sign, staircase
 from .errors import ResourceLimitError
@@ -27,7 +28,7 @@ class ColumnTableau:
     max_entry: int
 
     def __post_init__(self):
-        cols = tuple(tuple(int(v) for v in col) for col in self.columns)
+        cols = tuple(tuple(map(index, col)) for col in self.columns)
         object.__setattr__(self, "columns", cols)
         for col in cols:
             if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
@@ -196,7 +197,7 @@ def enumerate_column_families(alpha: tuple[int, ...], n: int) -> tuple[ColumnTab
     in itertools.product order; a negative height empties the family. Column
     j covers rows alpha_(j+1) + ... + alpha_m up to alpha_j + ... + alpha_m,
     so no two columns share a row."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(index, alpha))
     if any(a < 0 for a in alpha):
         return ()
     outer = tuple(itertools.accumulate(reversed(alpha)))[::-1]
@@ -244,7 +245,7 @@ def shape_orbit_sign(alpha: tuple[int, ...], lam: tuple[int, ...]) -> int:
     target is strictly decreasing, so its sign is read off without walking
     the orbit. Raises ValueError outside the orbit.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(index, alpha))
     if not check_partition(lam):
         raise ValueError("need a nonempty partition")
     outside = f"shape {alpha} is not in the orbit of {lam}"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from latdiag.cli import main
+import latdiag.verify
+from latdiag.cli import build_parser, main
 from latdiag.diagrams import parse_diagram
 from latdiag.polynomials import parse_polynomial
 from latdiag.tableaux import parse_tableau
+from latdiag.verify import schur_left_to_right
 
 
 def run(capsys, *argv):
@@ -140,9 +143,10 @@ def test_suite_flags_override(capsys):
     assert "failed=0" in out
 
 
-def test_suite_corrupted_mode_fails(capsys):
+def test_suite_corrupted_mode_fails(capsys, monkeypatch):
+    monkeypatch.setattr(latdiag.verify, "apply_schur", schur_left_to_right)
     code, out, _ = run(capsys, "suite", "--max-cells", "3", "--max-weight", "2",
-                       "--axes", "x", "--operators", "s", "--corrupt-stage-order")
+                       "--axes", "x", "--operators", "s")
     assert code == 1
     assert "first failure" in out
 
@@ -152,9 +156,12 @@ def test_suite_corrupted_mode_fails(capsys):
     ("operators=q\n", (), "config line 1: unknown operator kind 'q'"),
     ("fail_fast=maybe\n", (), "config line 1: bad fail_fast 'maybe'"),
     ("axes=\n", (), "config line 1: axes and operators must each list at least one entry"),
+    ("axes=x,x\n", (), "config line 1: axes lists an entry twice: x,x"),
     (None, ("--axes", ","), "error: axes and operators must each list at least one entry"),
     (None, ("--operators", "q"), "error: unknown operator kind 'q'"),
-], ids=["bogus=1", "operators=q", "fail_fast=maybe", "axes=", "--axes=,", "--operators=q"])
+    (None, ("--operators", "p,p"), "error: operators lists an entry twice: p,p"),
+], ids=["bogus=1", "operators=q", "fail_fast=maybe", "axes=", "axes=x,x", "--axes=,", "--operators=q",
+        "--operators=p,p"])
 def test_suite_bad_config_exit_2(capsys, tmp_path, config, flags, message):
     argv = list(flags)
     if config is not None:
@@ -187,8 +194,9 @@ def test_suite_empty_config_exit_2(capsys, tmp_path):
     ((), "suite: total=53 passed=52 failed=1"),
     (("--no-fail-fast",), "suite: total=387 passed=366 failed=21"),
 ], ids=["fail-fast", "no-fail-fast"])
-def test_suite_corrupted_mode_counts(capsys, flags, expected):
-    code, out, _ = run(capsys, "suite", "--corrupt-stage-order", "--max-cells", "3",
+def test_suite_corrupted_mode_counts(capsys, monkeypatch, flags, expected):
+    monkeypatch.setattr(latdiag.verify, "apply_schur", schur_left_to_right)
+    code, out, _ = run(capsys, "suite", "--max-cells", "3",
                        "--max-weight", "2", "--axes", "x", "--operators", "s", *flags)
     assert code == 1
     assert out.splitlines()[0] == expected
@@ -282,6 +290,17 @@ def test_argparse_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["apply", "--op", "q", "--param", "1", "--diagram", "0,0"])
     assert exc.value.code == 2
+
+
+def test_no_hidden_options():
+    # Every option shows in --help; a switch only tests set belongs in the
+    # tests, as a substitution, not in the command line.
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            assert action.help != argparse.SUPPRESS, (parser.prog, action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
 
 
 # -- bounded inputs ----------------------------------------------------------
@@ -473,14 +492,16 @@ def test_text_below_the_digit_limit_prints(capsys):
      {"op": "s", "param": "2,1", "diagram": "0,0;1,0;0,1", "axis": "x", "match": True}),
     (("suite", "--max-cells", "2", "--max-weight", "1"), 0,
      {"total": 360, "passed": 360, "failed": 0}),
-    (("suite", "--max-cells", "3", "--max-weight", "2", "--axes", "x", "--operators", "s",
-      "--corrupt-stage-order"), 1,
+    (("suite", "--max-cells", "3", "--max-weight", "2", "--axes", "x", "--operators", "s"), 1,
      {"total": None, "passed": None, "failed": 1, "first_failure": None}),
     (("hilbert", "--diagram", "0,0;1,0;0,1"), 0,
      {"x_top": 1, "y_top": 1, "total": 6, "dims": None}),
 ])
-def test_json_reports_parse(capsys, argv, code, expected):
-    # None marks a key that must be present with any value
+def test_json_reports_parse(capsys, monkeypatch, argv, code, expected):
+    # None marks a key that must be present with any value. The one failing
+    # argv runs the suite with the left-to-right Schur stages.
+    if code == 1:
+        monkeypatch.setattr(latdiag.verify, "apply_schur", schur_left_to_right)
     got_code, out, _ = run(capsys, *argv, "--json")
     assert got_code == code
     obj = json.loads(out)

@@ -3,8 +3,13 @@ import time
 
 import pytest
 
+import latdiag.verify
+from latdiag.combinat import check_partition
 from latdiag.diagrams import LatticeDiagram, normalize
 from latdiag.errors import ResourceLimitError
+from latdiag.operators import apply_e_alpha, apply_power_sum, apply_schur
+from latdiag.polynomials import Polynomial, diagonal_action
+from latdiag.tableaux import ColumnTableau, enumerate_column_families, shape_orbit_sign
 from latdiag.verify import (
     SuiteConfig,
     combinatorial_sum,
@@ -64,6 +69,31 @@ def test_verify_unknown_operator():
 def test_combinatorial_sum_unknown_operator():
     with pytest.raises(ValueError):
         combinatorial_sum("q", 1, D((1, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_partition((1.5,)),
+    lambda: LatticeDiagram(((1.5, 0),)),
+    lambda: normalize([(1.5, 0)]),
+    lambda: ColumnTableau(((1.5,),), 2),
+    lambda: Polynomial(1, {(1.5, 0): 1}),
+    lambda: diagonal_action((1.5,), Polynomial.constant(1, 1)),
+    lambda: apply_power_sum(1.5, D((3, 0), (4, 0))),
+    lambda: apply_schur((1.5,), D((3, 0), (4, 0))),
+    lambda: apply_e_alpha((1.5,), D((3, 0), (4, 0))),
+    lambda: enumerate_column_families((1.5,), 2),
+    lambda: shape_orbit_sign((1.5,), (1,)),
+    lambda: operator_polynomial("p", 1.5, 2),
+    lambda: combinatorial_sum("p", 1.5, D((3, 0), (4, 0))),
+    lambda: verify_instance("p", 1.5, D((3, 0), (4, 0))),
+], ids=["check_partition", "LatticeDiagram", "normalize", "ColumnTableau", "Polynomial",
+        "diagonal_action", "apply_power_sum", "apply_schur", "apply_e_alpha",
+        "enumerate_column_families", "shape_orbit_sign", "operator_polynomial",
+        "combinatorial_sum", "verify_instance"])
+def test_non_integer_input_raises_type_error(call):
+    # int() would truncate 1.5 to 1 and answer for the wrong input
+    with pytest.raises(TypeError):
+        call()
 
 
 # -- universe -----------------------------------------------------------------
@@ -162,9 +192,10 @@ def test_suite_instance_order_is_deterministic():
     assert a == b
 
 
-def test_corrupted_rule_is_caught_with_witness():
+def test_corrupted_rule_is_caught_with_witness(monkeypatch):
+    monkeypatch.setattr(latdiag.verify, "apply_schur", schur_left_to_right)
     cfg = SuiteConfig(max_cells=3, max_weight=2, axes=("x",), operators=("s",))
-    summary = run_suite(cfg, corrupt_stage_order=True)
+    summary = run_suite(cfg)
     assert not summary.ok
     assert summary.first_failure is not None
     assert summary.first_failure.witness
@@ -172,16 +203,16 @@ def test_corrupted_rule_is_caught_with_witness():
     assert summary.failed == 1
     exhaustive = run_suite(
         SuiteConfig(max_cells=3, max_weight=2, axes=("x",), operators=("s",),
-                    fail_fast=False),
-        corrupt_stage_order=True)
+                    fail_fast=False))
     assert exhaustive.failed >= summary.failed
 
 
-def test_witness_monomial_sits_on_one_side():
+def test_witness_monomial_sits_on_one_side(monkeypatch):
     from latdiag.polynomials import parse_polynomial
 
+    monkeypatch.setattr(latdiag.verify, "apply_schur", schur_left_to_right)
     cfg = SuiteConfig(max_cells=3, max_weight=2, axes=("x",), operators=("s",))
-    summary = run_suite(cfg, corrupt_stage_order=True)
+    summary = run_suite(cfg)
     report = summary.first_failure
     witness = parse_polynomial(report.witness, len(report.diagram))
     mono = next(iter(witness.terms))
