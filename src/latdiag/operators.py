@@ -226,8 +226,11 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
 
 def expand(total: SignedDiagramSum) -> Polynomial:
     """Replace every diagram by its determinant: the polynomial the sum denotes.
-    The diagrams have distinct cell sets, so their determinants share no monomial."""
+    The diagrams have distinct cell sets, so their determinants share no monomial.
+    Each distinct coefficient object of a determinant is scaled once, keyed by id."""
     terms: dict = {}
     for d, c in total.items():
-        terms.update((mono, c * coeff) for mono, coeff in delta(d).terms.items())
+        det = delta(d).terms
+        scaled = {key: c * coeff for key, coeff in {id(coeff): coeff for coeff in det.values()}.items()}
+        terms.update(zip(det, map(scaled.__getitem__, map(id, det.values()))))
     return Polynomial._trusted(total.ncells, terms) if terms else Polynomial.zero(total.ncells)

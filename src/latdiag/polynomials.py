@@ -1,10 +1,10 @@
 """Exact sparse polynomial arithmetic in the paired alphabets x1..xn, y1..yn.
 
-Coefficients are arbitrary-precision rationals and every operation is exact;
-there is no floating point anywhere. `diff_operator` scales each side to
-integer numerators over one common denominator and multiplies ints.
-Polynomials are immutable values (all arithmetic returns fresh objects), so
-they are safe to share across threads.
+Coefficients are exact rationals: `Polynomial` takes a numbers.Rational and
+raises TypeError for a float or a str. `diff_operator` scales each side to
+integer numerators over one common denominator, multiplies ints, and shares
+one Fraction per distinct numerator. Polynomials are immutable (all arithmetic
+returns fresh objects), so they are safe to share across threads.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
 has an empty term map, so it is falsy and has no bidegrees.
@@ -21,6 +21,7 @@ terms, with an optional sign before the first and "+" or "-" between terms.
 A term is factors joined by "*", each an integer or a variable x<i> or y<i>
 (1 <= i <= n) with an optional "^e", then an optional "/den" with den > 0.
 Whitespace may separate any two tokens; "−" reads as "-"; "0" is zero.
+str(P) makes each distinct x-block, y-block and coefficient text only once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from numbers import Rational
 from operator import getitem, index
 from typing import Mapping, Sequence
 
@@ -66,6 +68,8 @@ class Polynomial:
                     raise ValueError(f"monomial {mono} needs {2 * nvars} exponents")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in monomial {mono}")
+                if not isinstance(coeff, Rational):
+                    raise TypeError(f"coefficient {coeff!r} is not an exact rational")
                 coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
@@ -90,7 +94,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * (2 * nvars): Fraction(value)})
+        return cls(nvars, {(0,) * (2 * nvars): value})
 
     @classmethod
     def variable(cls, nvars: int, axis: str, index: int) -> "Polynomial":
@@ -102,7 +106,7 @@ class Polynomial:
         xexp, yexp = tuple(xexp), tuple(yexp)
         if len(xexp) != nvars or len(yexp) != nvars:
             raise ValueError("exponent blocks must each have nvars entries")
-        return cls(nvars, {xexp + yexp: Fraction(coeff)})
+        return cls(nvars, {xexp + yexp: coeff})
 
     # -- basic structure ----------------------------------------------
 
@@ -189,31 +193,43 @@ class Polynomial:
         terms = self.terms
         if not terms:
             return "0"
+        n = self.nvars
         exponents = set().union(*terms) - {0}
-        # factors[pos][e] is the text of one variable factor, "x3^2"; "" for e = 0
-        factors = [{0: "", **{e: f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in exponents}}
-                   for v in "xy" for i in range(1, self.nvars + 1)]
-        # The text of each coefficient is made once: (sign, numerator alone,
-        # numerator before a monomial, denominator). Keyed by id, which is
-        # sound because self.terms keeps every coefficient alive meanwhile;
-        # delta(L) shares two Fraction objects across all its terms.
+        # xfactors[i][e] is the text of the factor x<i+1>^e, "x3^2"; "" for e = 0
+        xfactors, yfactors = ([{0: "", **{e: f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in exponents}}
+                               for i in range(1, n + 1)] for v in "xy")
+        # Each text is made once: a coefficient's is (sign, numerator alone,
+        # numerator before a monomial, denominator), keyed by id, which is sound
+        # as self.terms keeps the coefficients alive; delta(L)'s n! terms share
+        # two. Every block text is cached before any term is written, so the
+        # cache lies together in memory rather than among the terms.
         texts: dict[int, tuple[str, str, str, str]] = {}
-        chunks = []
-        for mono in self._term_order():
-            coeff = terms[mono]
-            text = texts.get(id(coeff))
-            if text is None:
-                num, den = abs(coeff.numerator), coeff.denominator
-                try:
-                    text = texts[id(coeff)] = ("- " if coeff < 0 else "+ ", str(num),
-                                               f"{num}*" if num != 1 else "",
-                                               f"/{den}" if den != 1 else "")
-                except ValueError:  # an integer longer than the interpreter writes
-                    raise ResourceLimitError(f"a coefficient has more than {sys.get_int_max_str_digits()}"
-                                             " digits, the limit for integer text") from None
-            sign, alone, lead, tail = text
-            ms = "*".join(filter(None, map(getitem, factors, mono)))
-            chunks.append(sign + (lead + ms if ms else alone) + tail)
+        for coeff in {id(c): c for c in terms.values()}.values():
+            num, den = abs(coeff.numerator), coeff.denominator
+            try:
+                texts[id(coeff)] = ("- " if coeff < 0 else "+ ", str(num),
+                                    f"{num}*" if num != 1 else "", f"/{den}" if den != 1 else "")
+            except ValueError:  # an integer longer than the interpreter writes
+                raise ResourceLimitError(f"a coefficient has more than {sys.get_int_max_str_digits()}"
+                                         " digits, the limit for integer text") from None
+        order = self._term_order()
+        constant = terms[order.pop()] if not any(order[-1]) else None  # sorts last
+        xtexts, ytexts, xcol, ycol = {}, {}, [], []
+        for mono in order:
+            xb, yb = mono[:n], mono[n:]
+            xs = xtexts.get(xb)
+            if xs is None:
+                xs = xtexts[xb] = "*".join(filter(None, map(getitem, xfactors, xb)))
+            ys = ytexts.get(yb)
+            if ys is None:
+                ys = ytexts[yb] = "*".join(filter(None, map(getitem, yfactors, yb)))
+            xcol.append(xs)
+            ycol.append(ys)
+        chunks = [f"{sign}{lead}{xs}{'*' if xs and ys else ''}{ys}{tail}" for (sign, _, lead, tail), xs, ys
+                  in zip(map(texts.__getitem__, map(id, map(terms.__getitem__, order))), xcol, ycol)]
+        if constant is not None:
+            sign, alone, _, tail = texts[id(constant)]
+            chunks.append(sign + alone + tail)
         first = chunks[0]
         chunks[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(chunks)
@@ -248,7 +264,8 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
                 k = tuple(key)
                 out[k] = out.get(k, 0) + coeff
     den = dden * tden
-    return Polynomial._trusted(target.nvars, {m: Fraction(c, den) for m, c in out.items() if c})
+    shared = {c: Fraction(c, den) for c in set(out.values()) if c}  # one Fraction per numerator
+    return Polynomial._trusted(target.nvars, {m: shared[c] for m, c in out.items() if c})
 
 
 def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:

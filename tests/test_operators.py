@@ -2,10 +2,12 @@ import importlib.util
 import itertools
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import latdiag.operators
 from latdiag.combinat import partitions_of, staircase_orbit
 from latdiag.diagrams import (
     LatticeDiagram,
@@ -26,10 +28,10 @@ from latdiag.operators import (
     expand,
     jacobi_trudi_orbit_terms,
 )
-from latdiag.polynomials import diff_operator
+from latdiag.polynomials import Polynomial, diff_operator
 from latdiag.symmetric import elementary, homogeneous, power_sum, schur_jacobi_trudi
 from latdiag.tableaux import ColumnTableau, enumerate_column_families, enumerate_cs_tableaux, psi_step
-from latdiag.verify import enumerate_universe, schur_left_to_right
+from latdiag.verify import SuiteConfig, combinatorial_sum, enumerate_universe, schur_left_to_right, suite_instances
 
 
 def D(*cells):
@@ -379,6 +381,39 @@ def test_expand_examples():
     assert not expand(SignedDiagramSum(2))
     assert expand(one_term(D((0, 0), (1, 0)))) == delta(D((0, 0), (1, 0)))
     assert expand(one_term(D((0, 0), (0, 1)), -3)) == -3 * delta(D((0, 0), (0, 1)))
+
+
+def _reference_expand(total):
+    """expand as the loop that multiplies every term's coefficient by its diagram's."""
+    terms = {}
+    for d, c in total.items():
+        for mono, coeff in delta(d).terms.items():
+            terms[mono] = c * coeff
+    return Polynomial(total.ncells, terms)
+
+
+def assert_expand_matches_reference_on_the_desk_universe():
+    for op, param, diagram, axis in suite_instances(SuiteConfig()):
+        total = combinatorial_sum(op, param, diagram, axis)
+        result, expected = expand(total), _reference_expand(total)
+        assert result == expected and list(result.terms) == list(expected.terms), (op, param, str(diagram), axis)
+        assert all(type(c) is Fraction and c for c in result.terms.values())
+
+
+def test_expand_matches_reference_on_the_desk_universe():
+    assert_expand_matches_reference_on_the_desk_universe()
+
+
+def test_expand_matches_reference_with_unshared_coefficients(monkeypatch):
+    # delta rebuilt through the validating constructor: every term gets its own
+    # Fraction object, equal to the others of its sign but not the same one.
+    def rebuilt_delta(diagram):
+        return Polynomial(len(diagram), dict(delta(diagram).terms))
+
+    coeffs = rebuilt_delta(D((0, 0), (1, 0), (0, 1))).terms.values()
+    assert len(set(map(id, coeffs))) == len(coeffs) == 6 and len(set(coeffs)) == 2
+    monkeypatch.setattr(latdiag.operators, "delta", rebuilt_delta)
+    assert_expand_matches_reference_on_the_desk_universe()
 
 
 def test_y_axis_through_transpose():

@@ -1,6 +1,11 @@
+import importlib.util
 import math
+import os
 import time
+from decimal import Decimal
 from fractions import Fraction
+from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +81,20 @@ def test_mismatched_nvars_is_usage_error():
 ])
 def test_malformed_input_is_refused(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Polynomial(1, {(0, 0): 0.1}), id="float-term"),
+    pytest.param(lambda: Polynomial(1, {(1, 0): "1/3"}), id="str-term"),
+    pytest.param(lambda: Polynomial(1, {(1, 0): Decimal("0.5")}), id="decimal-term"),
+    pytest.param(lambda: Polynomial.constant(2, 0.5), id="float-constant"),
+    pytest.param(lambda: Polynomial.constant(2, "2"), id="str-constant"),
+    pytest.param(lambda: Polynomial.monomial(1, (1,), (0,), 0.25), id="float-monomial"),
+    pytest.param(lambda: Polynomial.monomial(1, (1,), (0,), "-1/4"), id="str-monomial"),
+])
+def test_inexact_coefficients_are_refused(build):
+    with pytest.raises(TypeError):
         build()
 
 
@@ -352,6 +371,92 @@ def test_diff_operator_mixed_denominators():
     result = assert_matches_reference(operator, target)
     assert result.terms == {(1, 0, 0, 0): Fraction(1, 8), (0, 1, 0, 0): Fraction(1, 16)}
     assert all(type(c) is Fraction for c in result.terms.values())
+
+
+# -- str against the loop that writes every factor of every term ---------------
+
+
+def _reference_str(p):
+    """str(P) as a plain loop that joins each term's 2n per-position factors."""
+    if not p.terms:
+        return "0"
+    exponents = set().union(*p.terms) - {0}
+    factors = [{0: "", **{e: f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in exponents}}
+               for v in "xy" for i in range(1, p.nvars + 1)]
+    chunks = []
+    for mono in p._term_order():
+        coeff = p.terms[mono]
+        num, den = abs(coeff.numerator), coeff.denominator
+        ms = "*".join(filter(None, map(getitem, factors, mono)))
+        lead = f"{num}*" if num != 1 else ""
+        chunks.append(("- " if coeff < 0 else "+ ") + (lead + ms if ms else str(num))
+                      + (f"/{den}" if den != 1 else ""))
+    first = chunks[0]
+    chunks[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+    return " ".join(chunks)
+
+
+def assert_str_matches_reference(poly):
+    text, expected = str(poly), _reference_str(poly)
+    if text != expected:  # an assertion diff of two megabyte strings takes minutes
+        at = len(os.path.commonprefix([text, expected]))
+        window = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"str differs from the reference at {at}: {text[window]!r} != {expected[window]!r}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), polynomial_pairs())
+def test_str_matches_reference(p, pair):
+    for q in (p, *pair):
+        assert_str_matches_reference(q)
+
+
+def test_str_matches_reference_on_the_desk_deltas():
+    diagrams = enumerate_universe(4, 3, 3)
+    assert len(diagrams) == 255
+    for diagram in diagrams:
+        assert_str_matches_reference(delta(diagram))
+
+
+def test_str_matches_reference_on_the_benchmark_deltas():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("delta_leibniz_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    diagrams = [d for seed in (1, 2, 3) for d in workloads.DeltaLeibniz().ops(seed)]
+    assert len(diagrams) == 12
+    for diagram in diagrams:
+        assert_str_matches_reference(delta(diagram))
+
+
+def _unshared_halves(nvars, monos):
+    terms = {mono: Fraction(1, 2) for mono in monos}
+    poly = Polynomial(nvars, terms)
+    assert len(set(map(id, poly.terms.values()))) == len(monos)
+    return poly
+
+
+@pytest.mark.parametrize("poly, text", [
+    pytest.param(Polynomial.constant(2, Fraction(-7, 3)), "-7/3", id="constant-alone"),
+    pytest.param(Polynomial.constant(1, 1), "1", id="one-alone"),
+    pytest.param(x(2, 1) + Polynomial.constant(2, 5), "x1 + 5", id="constant-after-a-term"),
+    pytest.param(Polynomial.constant(2, -1) - y(2, 2), "-y2 - 1", id="negative-lead-and-constant"),
+    pytest.param(Polynomial.monomial(2, (1, 0), (0, 2), 3) + Polynomial.monomial(2, (0, 1), (0, 0), Fraction(4, 5)),
+                 "3*x1*y2^2 + 4*x2/5", id="numerators-before-monomials"),
+    pytest.param(Polynomial.monomial(2, (2, 0), (0, 0), -1) + x(2, 2), "-x1^2 + x2", id="x-only"),
+    pytest.param(Polynomial.monomial(2, (0, 0), (1, 1), Fraction(-2, 3)) + y(2, 1), "-2*y1*y2/3 + y1",
+                 id="y-only"),
+    pytest.param(x(2, 1) * y(2, 1) - x(2, 1) * y(2, 2) + x(2, 2) * y(2, 1), "x2*y1 - x1*y2 + x1*y1",
+                 id="blocks-shared-across-terms"),
+    pytest.param(x(3, 3) * x(3, 3) * y(3, 1) + 2 * y(3, 2) - x(3, 1) + Polynomial.constant(3, Fraction(1, 2)),
+                 "x3^2*y1 + 2*y2 - x1 + 1/2", id="mixed-degrees"),
+    pytest.param(power_sum(10**12, 1), "x1^1000000000000", id="huge-exponent"),
+    pytest.param(_unshared_halves(2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)]),
+                 "y1/2 + x2/2 + x1/2 + 1/2", id="equal-unshared-coefficients"),
+])
+def test_str_edge_cases(poly, text):
+    assert_str_matches_reference(poly)
+    assert str(poly) == text
 
 
 # -- the text grammar ---------------------------------------------------------
