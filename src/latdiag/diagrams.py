@@ -225,15 +225,10 @@ class SignedDiagramSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedDiagramSum):
             return NotImplemented
         return self.ncells == other.ncells and self._terms == other._terms
-
-    __hash__ = None
 
     def __str__(self) -> str:
         if not self._terms:

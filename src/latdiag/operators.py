@@ -49,17 +49,24 @@ def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedD
     x and by (0, k) along y, once per cell position.
 
     The coefficient of each surviving diagram is the sign of the permutation
-    that resorts the moved cell list.
+    that resorts the moved cell list. A move survives when its target is in
+    the quadrant and free; survivors times cells past ENUMERATION_CAP raise
+    ResourceLimitError before any diagram is built.
     """
     if k < 1:
         raise ValueError("power sum needs k >= 1")
     _check_rule_input(diagram, axis)
     dp, dq = (k, 0) if axis == "x" else (0, k)
-    out = SignedDiagramSum(len(diagram))
-    for i, (p, q) in enumerate(diagram.cells):
-        cells = list(diagram.cells)
-        cells[i] = (p - dp, q - dq)
-        out.add(*normalize(cells))
+    cells, n = diagram.cells, len(diagram)
+    occupied = set(cells)
+    survivors = [(i, (p - dp, q - dq)) for i, (p, q) in enumerate(cells)
+                 if p >= dp and q >= dq and (p - dp, q - dq) not in occupied]
+    if len(survivors) * n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"{len(survivors) * n} moved cells for the power-sum rule,"
+                                 f" enumeration cap is {ENUMERATION_CAP}")
+    out = SignedDiagramSum(n)
+    for i, target in survivors:
+        out.add(*normalize(cells[:i] + (target,) + cells[i + 1:]))
     return out
 
 
@@ -226,11 +233,8 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
 
 def expand(total: SignedDiagramSum) -> Polynomial:
     """Replace every diagram by its determinant: the polynomial the sum denotes.
-    The diagrams have distinct cell sets, so their determinants share no monomial.
-    Each distinct coefficient object of a determinant is scaled once, keyed by id."""
+    The diagrams have distinct cell sets, so their determinants share no monomial."""
     terms: dict = {}
     for d, c in total.items():
-        det = delta(d).terms
-        scaled = {key: c * coeff for key, coeff in {id(coeff): coeff for coeff in det.values()}.items()}
-        terms.update(zip(det, map(scaled.__getitem__, map(id, det.values()))))
+        terms.update((c * delta(d)).terms)
     return Polynomial._trusted(total.ncells, terms) if terms else Polynomial.zero(total.ncells)

@@ -3,8 +3,10 @@
 Coefficients are exact rationals: `Polynomial` takes a numbers.Rational and
 raises TypeError for a float or a str. `diff_operator` scales each side to
 integer numerators over one common denominator, multiplies ints, and shares
-one Fraction per distinct numerator. Polynomials are immutable (all arithmetic
-returns fresh objects), so they are safe to share across threads.
+one Fraction per distinct numerator. A scalar product, negation included,
+multiplies each distinct coefficient object once, keyed by id as str(P) is,
+so c * delta(L) makes two products, not n!. Polynomials are immutable (all
+arithmetic returns fresh objects), so they are safe to share across threads.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
 has an empty term map, so it is falsy and has no bidegrees.
@@ -118,8 +120,6 @@ class Polynomial:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    __hash__ = None
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
@@ -144,7 +144,7 @@ class Polynomial:
         return Polynomial._trusted(self.nvars, {m: c for m, c in out.items() if c})
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -163,7 +163,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.nvars)
-            return Polynomial._trusted(self.nvars, {m: c * other for m, c in self.terms.items()})
+            terms = self.terms
+            scaled = {key: c * other for key, c in {id(c): c for c in terms.values()}.items()}
+            return Polynomial._trusted(self.nvars, dict(zip(terms, map(scaled.__getitem__, map(id, terms.values())))))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -159,8 +159,8 @@ def is_column_strict(tableau: ColumnTableau) -> bool:
     return all(word_pair(cols[j], cols[j + 1]).r == 0 for j in range(len(cols) - 1))
 
 
-# Most columns one enumeration may write, counted before each stage;
-# operators.staged_rule also bounds its tableaux times cells by it.
+# Most columns one enumeration may write, counted before each stage; the
+# operators bound staged tableaux, and power-sum survivors, times cells by it.
 # Slowest admitted, as measured: (1,1,1,1) on 71 entries, 971,635 tableaux, 2.5-3.2 s, 247 MB.
 ENUMERATION_CAP = 10**6
 

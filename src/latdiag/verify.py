@@ -39,6 +39,13 @@ OP_KINDS = ("p", "e", "h", "s")
 ORACLE_CAP = 500_000
 
 
+def _check_oracle_cap(op: str, k: int, n: int) -> None:
+    """operator_polynomial's refusal, before it builds anything."""
+    monomials = 0 if k < 1 else n if op == "p" else math.comb(n, k) if op == "e" else math.comb(n + k - 1, k)
+    if monomials * math.factorial(n) > ORACLE_CAP:
+        raise ResourceLimitError(f"the oracle for degree {k} on {n} cells exceeds the cap {ORACLE_CAP}")
+
+
 def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     """The symmetric polynomial whose derivative operator an instance tests.
 
@@ -53,9 +60,7 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     k = sum(parts)
     if op in ("p", "e", "h") and k < 1:
         raise ValueError(f"operator {op!r} needs a parameter >= 1, got {k}")
-    monomials = 0 if k < 1 else n if op == "p" else math.comb(n, k) if op == "e" else math.comb(n + k - 1, k)
-    if monomials * math.factorial(n) > ORACLE_CAP:
-        raise ResourceLimitError(f"the oracle for degree {k} on {n} cells exceeds the cap {ORACLE_CAP}")
+    _check_oracle_cap(op, k, n)
     if op == "s":
         poly = schur_tableaux(parts, n)
     elif op == "ea":
@@ -270,7 +275,12 @@ def _reversed(tableau: ColumnTableau) -> ColumnTableau:
 def run_suite(cfg: SuiteConfig) -> SuiteSummary:
     """Run verify_instance on every instance of the configured universe, in
     suite_instances order; exact pass/fail counts and the first failure. With
-    cfg.fail_fast the run stops at that failure."""
+    cfg.fail_fast the run stops at that failure. Every (size, operator,
+    parameter) is checked against ORACLE_CAP first, in that order."""
+    for n in sorted(set(map(len, enumerate_universe(cfg.max_cells, cfg.box_rows, cfg.box_cols)))):
+        for op in cfg.operators:
+            for param in _params_for(op, cfg.max_weight):
+                _check_oracle_cap(op, sum(param) if op == "s" else param, n)
     total = passed = failed = 0
     first_failure = None
     for op, param, diagram, axis in suite_instances(cfg):

@@ -350,6 +350,9 @@ def test_tableaux_one_row_listing_at_once(capsys):
 
 
 EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
+# Every instance up to 7 cells passes; e_2 on 8 cells is the first past ORACLE_CAP.
+SUITES_PAST_THE_ORACLE_CAP = [("suite", "--max-cells", "8", "--box-rows", "3", "--box-cols", "3"),
+                              ("suite", "--max-cells", "8", "--box-rows", "2", "--box-cols", "4")]
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,11 +375,30 @@ EIGHT_IN_A_COLUMN = "0,0;0,1;0,2;0,3;0,4;0,5;0,6;0,7"
     ("verify", "--op", "s", "--param", "10000000", "--diagram", "0,0"),
     # a 10^6-column conjugate of 100 rows, built in one sweep over the rows
     ("tableaux", "--shape", ",".join(["1000000"] * 100), "--max-entry", "100"),
+    # the odd rows of a 42x50 box: 1,050 cells, each free to drop one row
+    ("apply", "--op", "p", "--param", "1", "--diagram",
+     ";".join(f"{p},{q}" for q in range(50) for p in range(1, 42, 2))),
+    *SUITES_PAST_THE_ORACLE_CAP,
 ])
 def test_capped_commands_exit_2_at_once(capsys, argv):
     code, _, err = timed_run(capsys, *argv)
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", SUITES_PAST_THE_ORACLE_CAP)
+def test_suite_refuses_before_its_first_instance(capsys, argv):
+    code, out, err = timed_run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the oracle for degree 2 on 8 cells exceeds the cap 500000\n"
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_power_sum_on_a_full_box_prints_zero_at_once(capsys, axis):
+    # each of the 12,000 cells would move onto another cell or out of the quadrant
+    box = ";".join(f"{p},{q}" for q in range(100) for p in range(120))
+    code, out, _ = timed_run(capsys, "apply", "--op", "p", "--param", "1", "--axis", axis, "--diagram", box)
+    assert (code, out) == (0, "0\n")
 
 
 @pytest.mark.parametrize("op, param", [("e", "2"), ("s", "1,1")])

@@ -287,6 +287,18 @@ def test_sum_rejects_wrong_size():
         total.add(LatticeDiagram(((0, 0),)), 1)
 
 
+def test_sums_and_polynomials_are_unhashable_and_falsy_when_empty():
+    total = SignedDiagramSum(2)
+    poly = delta(LatticeDiagram(((0, 0), (1, 0))))
+    for value in (total, poly):
+        with pytest.raises(TypeError):
+            hash(value)
+    assert (bool(total), len(total)) == (False, 0)
+    total.add(LatticeDiagram(((0, 0), (1, 0))), 2)
+    assert (bool(total), len(total)) == (True, 1)
+    assert poly and not poly - poly
+
+
 def test_delta_coordinate_cap():
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):

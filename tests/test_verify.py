@@ -3,9 +3,10 @@ import time
 
 import pytest
 
+import latdiag.operators
 import latdiag.verify
 from latdiag.combinat import check_partition
-from latdiag.diagrams import LatticeDiagram, normalize
+from latdiag.diagrams import LatticeDiagram, normalize, transpose
 from latdiag.errors import ResourceLimitError
 from latdiag.operators import apply_e_alpha, apply_power_sum, apply_schur
 from latdiag.polynomials import Polynomial, diagonal_action
@@ -218,6 +219,34 @@ def test_witness_monomial_sits_on_one_side(monkeypatch):
     mono = next(iter(witness.terms))
     assert (mono in report.expected.terms) != (mono in report.actual.terms) or (
         report.expected.coefficient(mono) != report.actual.coefficient(mono))
+
+
+# -- mutants the desk suite catches --------------------------------------------
+
+
+def test_suite_catches_a_staged_move_without_its_collision_test(monkeypatch):
+    def surviving_move_without_collisions(tableau, cells):
+        cells = list(cells)
+        for col in reversed(tableau.columns):
+            for entry in col:
+                p, q = cells[entry - 1]
+                if p == 0:
+                    return None
+                cells[entry - 1] = (p - 1, q)
+        return cells
+
+    monkeypatch.setattr(latdiag.operators, "_surviving_move", surviving_move_without_collisions)
+    with pytest.raises(RuntimeError, match=r"staged move by 2\|2 reordered the cells of \[1,0;2,0\]"):
+        run_suite(SuiteConfig())
+
+
+def test_suite_catches_a_transpose_without_its_resort_sign(monkeypatch):
+    # Dropped, not flipped: staged_rule multiplies two transpose signs, so a
+    # flipped sign cancels and every instance still passes.
+    monkeypatch.setattr(latdiag.operators, "transpose", lambda diagram: (transpose(diagram)[0], 1))
+    summary = run_suite(SuiteConfig())
+    assert (summary.total, summary.failed) == (548, 1)
+    assert summary.first_failure.describe().startswith("op=e param=1 axis=y diagram=[1,0;0,1] FAIL")
 
 
 # -- stage order ------------------------------------------------------------------
