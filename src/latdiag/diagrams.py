@@ -52,6 +52,13 @@ class LatticeDiagram:
         if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
             raise ValueError(f"cells not in lexicographic order: {cells}")
 
+    @classmethod
+    def _trusted(cls, cells: tuple[Cell, ...]) -> "LatticeDiagram":
+        """Wrap, unvalidated, a tuple of int pairs in lexicographic order."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "cells", cells)
+        return diagram
+
     def __len__(self) -> int:
         return len(self.cells)
 

@@ -19,6 +19,7 @@ so surviving intermediate diagrams never reorder.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import index
 from typing import Callable, Iterable
@@ -30,7 +31,7 @@ from .diagrams import (
     SignedDiagramSum,
     delta,
     epsilon,
-    normalize,
+    lex_key,
     transpose,
 )
 from .errors import ResourceLimitError
@@ -48,15 +49,15 @@ def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedD
     """Power sum rule: move one cell k steps along the axis, by (k, 0) along
     x and by (0, k) along y, once per cell position.
 
-    The coefficient of each surviving diagram is the sign of the permutation
-    that resorts the moved cell list. A move survives when its target is in
-    the quadrant and free; survivors times cells past ENUMERATION_CAP raise
+    A move lowers the cell's lexicographic key: the cell is bisected into place,
+    and its coefficient is (-1)^(cells it passes). It survives when its target is
+    in the quadrant and free; survivors times cells past ENUMERATION_CAP raise
     ResourceLimitError before any diagram is built.
     """
     if k < 1:
         raise ValueError("power sum needs k >= 1")
     _check_rule_input(diagram, axis)
-    dp, dq = (k, 0) if axis == "x" else (0, k)
+    dp, dq = (index(k), 0) if axis == "x" else (0, index(k))
     cells, n = diagram.cells, len(diagram)
     occupied = set(cells)
     survivors = [(i, (p - dp, q - dq)) for i, (p, q) in enumerate(cells)
@@ -66,7 +67,8 @@ def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedD
                                  f" enumeration cap is {ENUMERATION_CAP}")
     out = SignedDiagramSum(n)
     for i, target in survivors:
-        out.add(*normalize(cells[:i] + (target,) + cells[i + 1:]))
+        j = bisect_left(cells, lex_key(target), 0, i, key=lex_key)
+        out.add(LatticeDiagram._trusted(cells[:j] + (target,) + cells[j:i] + cells[i + 1:]), (-1) ** (i - j))
     return out
 
 

@@ -246,23 +246,24 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
     if operator.nvars != target.nvars:
         raise ValueError(f"mismatched nvars: {operator.nvars} vs {target.nvars}")
     dden = math.lcm(*(c.denominator for c in operator.terms.values()))
-    tden = math.lcm(*(c.denominator for c in target.terms.values()))
+    distinct = {id(c): c for c in target.terms.values()}  # each scaled once, keyed by id
+    tden = math.lcm(*(c.denominator for c in distinct.values()))
     # Each operator monomial as its nonzero (position, exponent) pairs.
     ops = [([(pos, a) for pos, a in enumerate(dmono) if a], c.numerator * (dden // c.denominator))
            for dmono, c in operator.terms.items()]
-    nums = [(tmono, c.numerator * (tden // c.denominator)) for tmono, c in target.terms.items()]
+    scaled = {key: c.numerator * (tden // c.denominator) for key, c in distinct.items()}
+    nums = list(zip(target.terms, map(scaled.__getitem__, map(id, target.terms.values()))))
     out: dict[Monomial, int] = {}
     for pairs, dnum in ops:
         for tmono, tnum in nums:
-            coeff = dnum * tnum
-            key = list(tmono)
             for pos, a in pairs:
-                e = key[pos]
-                if e < a:
+                if tmono[pos] < a:
                     break
-                coeff *= math.perm(e, a)
-                key[pos] = e - a
             else:
+                coeff, key = dnum * tnum, list(tmono)
+                for pos, a in pairs:
+                    coeff *= math.perm(key[pos], a)
+                    key[pos] -= a
                 k = tuple(key)
                 out[k] = out.get(k, 0) + coeff
     den = dden * tden

@@ -90,6 +90,32 @@ def test_power_sum_rejects_bad_input():
         apply_power_sum(1, bad)
 
 
+def _reference_power_sum(k, diagram, axis):
+    """apply_power_sum as the loop that moves each cell and resorts the whole
+    list with normalize; a collision or a negative cell drops out in add."""
+    dp, dq = (k, 0) if axis == "x" else (0, k)
+    out = SignedDiagramSum(len(diagram))
+    for i, (p, q) in enumerate(diagram.cells):
+        cells = list(diagram.cells)
+        cells[i] = (p - dp, q - dq)
+        out.add(*normalize(cells))
+    return out
+
+
+def test_power_sum_matches_normalize_reference():
+    rng = random.Random(17)
+    box = [(p, q) for p in range(8) for q in range(8)]
+    seeded = [normalize(rng.sample(box, rng.randint(10, 16)))[0] for _ in range(60)]
+    for diagram in list(enumerate_universe(4, 3, 3)) + seeded:
+        for axis in ("x", "y"):
+            for k in (1, 2, 3):
+                total = apply_power_sum(k, diagram, axis)
+                assert str(total) == str(_reference_power_sum(k, diagram, axis)), (k, str(diagram), axis)
+                # the survivors are wrapped unvalidated; they must still be valid
+                for d, _ in total.items():
+                    assert type(d.cells) is tuple and LatticeDiagram(d.cells) == d
+
+
 # -- elementary ------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import time
 
@@ -6,10 +8,10 @@ import pytest
 import latdiag.operators
 import latdiag.verify
 from latdiag.combinat import check_partition
-from latdiag.diagrams import LatticeDiagram, normalize, transpose
+from latdiag.diagrams import LatticeDiagram, SignedDiagramSum, delta, normalize, transpose
 from latdiag.errors import ResourceLimitError
-from latdiag.operators import apply_e_alpha, apply_power_sum, apply_schur
-from latdiag.polynomials import Polynomial, diagonal_action
+from latdiag.operators import apply_e_alpha, apply_power_sum, apply_schur, expand
+from latdiag.polynomials import Polynomial, diagonal_action, diff_operator
 from latdiag.tableaux import ColumnTableau, enumerate_column_families, shape_orbit_sign
 from latdiag.verify import (
     SuiteConfig,
@@ -247,6 +249,98 @@ def test_suite_catches_a_transpose_without_its_resort_sign(monkeypatch):
     summary = run_suite(SuiteConfig())
     assert (summary.total, summary.failed) == (548, 1)
     assert summary.first_failure.describe().startswith("op=e param=1 axis=y diagram=[1,0;0,1] FAIL")
+
+
+# -- the integer sum check against expand ---------------------------------------
+
+
+def _perturbed(total, diagram):
+    """total with its first coefficient negated, doubled, or its first term
+    dropped, and total with diagram added: diagram is never in the sum of
+    its own derivative, which only holds diagrams of lower weight."""
+    items = total.items()
+    assert total.coefficient(diagram) == 0
+    sums = [SignedDiagramSum(total.ncells, items + [(diagram, 1)])]
+    if items:
+        (d, c), rest = items[0], items[1:]
+        sums += [SignedDiagramSum(total.ncells, [(d, -c)] + rest),
+                 SignedDiagramSum(total.ncells, [(d, 2 * c)] + rest),
+                 SignedDiagramSum(total.ncells, rest)]
+    return sums
+
+
+def assert_sum_check_agrees_with_expand(perturb=True):
+    """The verdict of verify's integer check against the reference
+    expand(total) == diff_operator(operator_polynomial(...), delta(L)) on
+    every desk instance, and on its perturbed sums; returns the mismatches."""
+    mismatches = 0
+    for op, param, diagram, axis in suite_instances(SuiteConfig()):
+        expected = diff_operator(operator_polynomial(op, param, len(diagram), axis), delta(diagram))
+        total = combinatorial_sum(op, param, diagram, axis)
+        for candidate in [total] + (_perturbed(total, diagram) if perturb else []):
+            verdict = latdiag.verify._sum_matches(candidate, expected)
+            assert verdict == (expand(candidate) == expected), (op, param, str(diagram), axis, str(candidate))
+            if candidate is not total:
+                assert not verdict
+        mismatches += expand(total) != expected
+    return mismatches
+
+
+def test_sum_check_agrees_with_expand_on_the_desk_universe():
+    assert assert_sum_check_agrees_with_expand() == 0
+    # on a match the report's actual is the oracle's polynomial, expand's by value
+    for op, param, diagram, axis in suite_instances(SuiteConfig(max_cells=2)):
+        report = verify_instance(op, param, diagram, axis)
+        assert report.match and report.actual is report.expected
+        assert report.actual == expand(combinatorial_sum(op, param, diagram, axis))
+
+
+def test_sum_check_agrees_with_expand_on_the_wrong_stage_order(monkeypatch):
+    monkeypatch.setattr(latdiag.verify, "apply_schur", schur_left_to_right)
+    assert assert_sum_check_agrees_with_expand(perturb=False) == 268
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_sum_check_agrees_with_expand_on_revalidated_coefficients(monkeypatch, flip):
+    # delta rebuilt through the validating constructor, as the benchmark's gate
+    # does: every term gets its own Fraction object; flipped, one term's sign
+    # is wrong on both sides, so the gate sees mismatches.
+    @functools.cache
+    def rebuilt_delta(diagram):
+        terms = dict(delta(diagram).terms)
+        if flip:
+            terms[min(terms)] = -terms[min(terms)]
+        return Polynomial(len(diagram), terms)
+
+    monkeypatch.setattr(latdiag.verify, "delta", rebuilt_delta)
+    monkeypatch.setattr(latdiag.operators, "delta", rebuilt_delta)
+    mismatches = assert_sum_check_agrees_with_expand(perturb=False)
+    assert (mismatches > 0) == flip
+
+
+def _mutant(old, new):
+    """_sum_matches with the text old replaced by new, compiled over a copy of
+    the verify module's globals."""
+    source = inspect.getsource(latdiag.verify._sum_matches)
+    assert source.count(old) == 1
+    namespace = dict(vars(latdiag.verify))
+    exec(source.replace(old, new), namespace)
+    return namespace["_sum_matches"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # without the final monomial count: a dropped term goes unseen
+    ("visited == len(eterms) and ", ""),
+    # every expected numerator, or every delta numerator, scaled as the first
+    # coefficient object met
+    ("for key, e in distinct.items()}", "for e in list(distinct.values())[:1] for key in distinct}"),
+    ("for key, f in {id(f): f for f in dterms.values()}.items()}",
+     "for key, f in [(id(g), f) for f in list(dterms.values())[:1] for g in dterms.values()]}"),
+])
+def test_cross_check_catches_a_mutated_sum_check(monkeypatch, old, new):
+    monkeypatch.setattr(latdiag.verify, "_sum_matches", _mutant(old, new))
+    with pytest.raises(AssertionError):
+        assert_sum_check_agrees_with_expand()
 
 
 # -- stage order ------------------------------------------------------------------
