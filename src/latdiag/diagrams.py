@@ -227,7 +227,7 @@ class SignedDiagramSum:
 
     def items(self) -> list[tuple[LatticeDiagram, int]]:
         """Terms sorted by the diagrams' cell lists under the lexicographic order."""
-        return sorted(self._terms.items(), key=lambda kv: tuple(lex_key(c) for c in kv[0].cells))
+        return sorted(self._terms.items(), key=lambda kv: [(q, p) for p, q in kv[0].cells])
 
     def __len__(self) -> int:
         return len(self._terms)

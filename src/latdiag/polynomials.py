@@ -1,12 +1,15 @@
 """Exact sparse polynomial arithmetic in the paired alphabets x1..xn, y1..yn.
 
 Coefficients are exact rationals: `Polynomial` takes a numbers.Rational and
-raises TypeError for a float or a str. `diff_operator` scales each side to
-integer numerators over one common denominator, multiplies ints, and shares
-one Fraction per distinct numerator. A scalar product, negation included,
-multiplies each distinct coefficient object once, keyed by id as str(P) is,
-so c * delta(L) makes two products, not n!. Polynomials are immutable (all
-arithmetic returns fresh objects), so they are safe to share across threads.
+raises TypeError for a float or a str. `diff_operator` reads each side as
+integer numerators over one common denominator, a form each polynomial makes
+on its first use and keeps; it multiplies ints and shares one Fraction per
+distinct numerator. A scalar product, negation included, multiplies each
+distinct coefficient object once, keyed by id as str(P) is, so c * delta(L)
+makes two products, not n!. Polynomials are immutable (all arithmetic
+returns fresh objects), so the kept form never goes stale, and they are safe
+to share across threads: two threads that fill the form at once store equal
+values.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
 has an empty term map, so it is falsy and has no bidegrees.
@@ -57,7 +60,7 @@ def _axis_offset(nvars: int, axis: str, index: int) -> int:
 class Polynomial:
     """Sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_ints", "_pairs")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -87,6 +90,23 @@ class Polynomial:
         poly.nvars = nvars
         poly.terms = terms
         return poly
+
+    def _integer_form(self) -> tuple[int, list[int]]:
+        """diff_operator's integer form, made once: the common denominator and each
+        term's numerator over it, in term order, scaling each distinct coefficient once."""
+        if not hasattr(self, "_ints"):
+            distinct = {id(c): c for c in self.terms.values()}
+            den = math.lcm(*(c.denominator for c in distinct.values()))
+            scaled = {key: c.numerator * (den // c.denominator) for key, c in distinct.items()}
+            self._ints = den, list(map(scaled.__getitem__, map(id, self.terms.values())))
+        return self._ints
+
+    def _operator_pairs(self) -> list[tuple[list[tuple[int, int]], int]]:
+        """Each term's nonzero (position, exponent) pairs and its numerator."""
+        if not hasattr(self, "_pairs"):
+            self._pairs = [([(pos, a) for pos, a in enumerate(mono) if a], num)
+                           for mono, num in zip(self.terms, self._integer_form()[1])]
+        return self._pairs
 
     # -- constructors -------------------------------------------------
 
@@ -242,19 +262,16 @@ class Polynomial:
 
 def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
     """Apply operator(dX; dY) to target, substituting each variable by the
-    corresponding partial derivative."""
+    corresponding partial derivative. Each side's common denominator and
+    numerators, and the operator's nonzero (position, exponent) pairs, are
+    computed on a polynomial's first use and kept on it."""
     if operator.nvars != target.nvars:
         raise ValueError(f"mismatched nvars: {operator.nvars} vs {target.nvars}")
-    dden = math.lcm(*(c.denominator for c in operator.terms.values()))
-    distinct = {id(c): c for c in target.terms.values()}  # each scaled once, keyed by id
-    tden = math.lcm(*(c.denominator for c in distinct.values()))
-    # Each operator monomial as its nonzero (position, exponent) pairs.
-    ops = [([(pos, a) for pos, a in enumerate(dmono) if a], c.numerator * (dden // c.denominator))
-           for dmono, c in operator.terms.items()]
-    scaled = {key: c.numerator * (tden // c.denominator) for key, c in distinct.items()}
-    nums = list(zip(target.terms, map(scaled.__getitem__, map(id, target.terms.values()))))
+    dden, _ = operator._integer_form()
+    tden, tnums = target._integer_form()
+    nums = list(zip(target.terms, tnums))
     out: dict[Monomial, int] = {}
-    for pairs, dnum in ops:
+    for pairs, dnum in operator._operator_pairs():
         for tmono, tnum in nums:
             for pos, a in pairs:
                 if tmono[pos] < a:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from operator import index
 
 from .combinat import check_partition, partitions_of
@@ -61,12 +62,19 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     if op in ("p", "e", "h") and k < 1:
         raise ValueError(f"operator {op!r} needs a parameter >= 1, got {k}")
     _check_oracle_cap(op, k, n)
+    return _built_operator(op, parts, n, axis)
+
+
+@cache
+def _built_operator(op: str, parts: tuple[int, ...], n: int, axis: str) -> Polynomial:
+    """operator_polynomial's value, one object per input, so diff_operator's
+    integer forms cached on it are reused."""
     if op == "s":
         poly = schur_tableaux(parts, n)
     elif op == "ea":
         poly = math.prod((elementary(a, n) for a in parts), start=Polynomial.constant(n, 1))
     else:
-        poly = {"p": power_sum, "e": elementary, "h": homogeneous}[op](k, n)
+        poly = {"p": power_sum, "e": elementary, "h": homogeneous}[op](*parts, n)
     return poly.swap_alphabets() if axis == "y" else poly
 
 
@@ -162,7 +170,7 @@ def verify_instance(op: str, param, diagram: LatticeDiagram, axis: str = "x") ->
 
 
 # Most diagrams, or Schur parameters, a suite lists. The default universe has
-# 255 diagrams; the 4x4 box with up to 5 cells has 6,884 and takes 14 min.
+# 255 diagrams; the 4x4 box with up to 5 cells has 6,884 and takes 193 s.
 UNIVERSE_CAP = 10_000
 
 

@@ -583,3 +583,88 @@ def test_integer_lists_allow_spaces_around_numbers(capsys):
     code, out, _ = run(capsys, "tableaux", "--families", "--shape", " 1 , 0 ", "--max-entry", "2")
     assert code == 0
     assert out.splitlines() == ["1|_", "2|_"]
+
+
+# -- README's cap table -------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BOX_25_BY_40 = ";".join(f"{p},{q}" for q in range(40) for p in range(25))
+STAGED_CAP = "error: 1001000 tableau cells for the staged rule, enumeration cap is 1000000\n"
+ORACLE_REFUSAL = "error: the oracle for degree 2 on 8 cells exceeds the cap 500000\n"
+# Each row of the table, as its entry point and its cap (the first code span
+# of the two cells), with the smallest refused inputs the row names and the
+# text each exits 2 with. psi has no cap and the Jacobi-Trudi row is a library
+# call, so neither has a CLI case.
+CAP_TABLE = {
+    "delta/combinat.DETERMINANT_CAP": [
+        (("delta", "--diagram", ";".join(f"{p},0" for p in range(10))),
+         "error: diagram has 10 cells, expansion cap is 9\n")],
+    "delta/diagrams.COORDINATE_CAP": [
+        (("delta", "--diagram", "1001,0"), "error: a coordinate of 1001,0 exceeds the cap 1000\n")],
+    "apply --op p/tableaux.ENUMERATION_CAP": [
+        (("apply", "--op", "p", "--param", "1", "--diagram",
+          ";".join(f"{p},{q}" for q in range(50) for p in range(1, 42, 2))),
+         "error: 1102500 moved cells for the power-sum rule, enumeration cap is 1000000\n")],
+    "apply --op e/ENUMERATION_CAP": [
+        (("apply", "--op", "e", "--param", "2", "--diagram", BOX_25_BY_40), STAGED_CAP),
+        (("apply", "--op", "s", "--param", "1,1", "--diagram", BOX_25_BY_40), STAGED_CAP)],
+    "tableaux/ENUMERATION_CAP": [
+        (("tableaux", "--shape", "5000", "--max-entry", "2"),
+         "error: 1000730 columns for column-strict tableaux, enumeration cap is 1000000\n"),
+        (("tableaux", "--families", "--shape", ",".join(["1"] * 12), "--max-entry", "10"),
+         "error: 6543210 columns for column-strict tableaux, enumeration cap is 1000000\n")],
+    "verify/verify.ORACLE_CAP": [
+        (("verify", "--op", "h", "--param", "2", "--diagram", EIGHT_IN_A_COLUMN), ORACLE_REFUSAL),
+        (("verify", "--op", "e", "--param", "2", "--diagram", EIGHT_IN_A_COLUMN), ORACLE_REFUSAL),
+        (("verify", "--op", "s", "--param", "9", "--diagram", "0,0;0,1;0,2;0,3;0,4;0,5"),
+         "error: the oracle for degree 9 on 6 cells exceeds the cap 500000\n")],
+    "suite/verify.UNIVERSE_CAP": [
+        (("suite", "--box-rows", "40", "--box-cols", "40", "--max-cells", "4"),
+         "error: the suite universe has at least 1280800 diagrams, cap is 10000\n"),
+        (("suite", "--max-weight", "70", "--operators", "s"),
+         "error: the suite lists at least 11731 Schur parameters, cap is 10000\n")],
+    "suite/ORACLE_CAP": [(argv, ORACLE_REFUSAL) for argv in SUITES_PAST_THE_ORACLE_CAP],
+    "hilbert/hilbert.CELL_CAP": [
+        (("hilbert", "--diagram", "0,0;1,0;0,1;1,1;0,2;1,2;0,3;1,3"),
+         "error: diagram has 8 cells, expansion cap is 7\n")],
+    "text of a polynomial/sys.get_int_max_str_digits()": [
+        (("delta", "--diagram", "1000,1000"),
+         f"error: a coefficient has more than {sys.get_int_max_str_digits()} digits, the limit for integer text\n")],
+}
+NO_CLI_CASE = {"psi/none", "symmetric.schur_jacobi_trudi/DETERMINANT_CAP"}
+
+
+def _first_code_span(cell):
+    return cell.split("`")[1] if "`" in cell else cell.split(":")[0].strip()
+
+
+def test_cap_table_rows_are_all_tested():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "| Smallest refused input |" in line) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.strip().startswith("|"):
+            break
+        cells = line.strip().strip("|").split("|")
+        rows.append(f"{_first_code_span(cells[0])}/{_first_code_span(cells[1])}")
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(CAP_TABLE) | NO_CLI_CASE
+
+
+@pytest.mark.parametrize("row, argv, expected", [
+    pytest.param(row, argv, expected, id=f"{row}-{i}")
+    for row, cases in CAP_TABLE.items() for i, (argv, expected) in enumerate(cases)])
+def test_cap_table_smallest_refused_inputs_exit_2(capsys, row, argv, expected):
+    if row == "apply --op e/ENUMERATION_CAP":
+        # The open slow refusal: 499,500 tableaux are built before the count
+        # refuses, in 1.1-1.6 s, so the command runs in its own process (which
+        # also drops their cache) and its time is not asserted.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "latdiag.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=10)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = timed_run(capsys, *argv)
+    assert (code, out, err) == (2, "", expected)

@@ -332,6 +332,49 @@ def test_diff_operator_matches_reference_on_the_desk_universe():
     assert pairs == 3825
 
 
+def assert_desk_pairs_match_reference():
+    """diff_operator against the Fraction loop on every desk (operator, delta)
+    pair, both axes: the same terms in the same order, twice per pair, so the
+    second call reads the integer forms the first kept on both polynomials."""
+    pairs = 0
+    for op, param, diagram, axis in suite_instances(SuiteConfig()):
+        operator, target = operator_polynomial(op, param, len(diagram), axis), delta(diagram)
+        expected = list(_reference_diff_operator(operator, target).terms.items())
+        for _ in range(2):
+            assert list(diff_operator(operator, target).terms.items()) == expected, (op, param, str(diagram), axis)
+        pairs += 1
+    assert pairs == 7650
+
+
+def test_diff_operator_matches_reference_on_both_axes_with_kept_forms():
+    assert_desk_pairs_match_reference()
+
+
+def _first_coefficient_form(self):
+    """A wrong integer form: every term scaled as the first coefficient."""
+    den = math.lcm(*(c.denominator for c in self.terms.values()))
+    first = next(iter(self.terms.values()), Fraction(0))
+    return den, [first.numerator * (den // first.denominator)] * len(self.terms)
+
+
+def test_desk_pairs_catch_a_wrong_integer_form(monkeypatch):
+    monkeypatch.setattr(Polynomial, "_integer_form", _first_coefficient_form)
+    with pytest.raises(AssertionError):
+        assert_desk_pairs_match_reference()
+
+
+def test_integer_form_is_kept_and_follows_term_order():
+    target = Fraction(1, 4) * x(2, 1) - Fraction(5, 6) * y(2, 2) + Polynomial.constant(2, 3)
+    den, nums = target._integer_form()
+    assert (den, nums) == (12, [3, -10, 36])
+    assert target._integer_form()[1] is nums
+    assert [Fraction(num, den) for num in nums] == list(target.terms.values())
+    pairs = target._operator_pairs()
+    assert pairs == [([(0, 1)], 3), ([(3, 1)], -10), ([], 36)]
+    assert target._operator_pairs() is pairs
+    assert Polynomial.zero(2)._integer_form() == (1, [])
+
+
 def test_diff_operator_constant_terms():
     target = Fraction(5, 6) * x(2, 1) * y(2, 2) + Polynomial.constant(2, Fraction(-1, 4))
     third = Fraction(2, 3)

@@ -364,6 +364,40 @@ def test_left_to_right_variant_differs_somewhere():
     assert schur_left_to_right((2,), diagram) != apply_schur((2,), diagram)
 
 
+OPERATOR_INPUTS = [(op, param, n) for op in ("p", "e", "h", "s") for param in latdiag.verify._params_for(op, 3)
+                   for n in range(1, 5)] + [("ea", (1, 0, 2), 3), ("ea", (2, 1), 4)]
+
+
+def assert_operator_polynomials_built_once():
+    """Each input's y operator, asked for three times, is one object, equal to
+    the x operator with the alphabets swapped; the x operator is one object too."""
+    for op, param, n in OPERATOR_INPUTS:
+        ys = [operator_polynomial(op, param, n, "y") for _ in range(3)]
+        xs = [operator_polynomial(op, param, n, "x") for _ in range(2)]
+        assert ys[0] is ys[1] is ys[2] and xs[0] is xs[1], (op, param, n)
+        assert ys[0] == xs[0].swap_alphabets(), (op, param, n)
+
+
+def test_operator_polynomial_is_built_once_per_input():
+    assert_operator_polynomials_built_once()
+    # the key is the parsed parameter: a list and a tuple give the same object
+    assert operator_polynomial("s", [2, 1], 3, "y") is operator_polynomial("s", (2, 1), 3, "y")
+    assert operator_polynomial("ea", [2, 1], 4) is operator_polynomial("ea", (2, 1), 4)
+
+
+def test_built_operators_catch_a_cache_keyed_without_axis(monkeypatch):
+    build = latdiag.verify._built_operator.__wrapped__
+
+    @functools.cache
+    def keyed_without_axis(op, parts, n):
+        return build(op, parts, n, "y")
+
+    monkeypatch.setattr(latdiag.verify, "_built_operator",
+                        lambda op, parts, n, axis: keyed_without_axis(op, parts, n))
+    with pytest.raises(AssertionError):
+        assert_operator_polynomials_built_once()
+
+
 def test_oracle_cap_counts_monomials_by_kind():
     # p_k has n monomials and e_k comb(n, k), so 8 * 8! admits p_2 and e_7 on
     # 8 cells; h and s keep comb(n+k-1, k), which s_(2,1) on 7 cells passes.
