@@ -226,8 +226,10 @@ class SignedDiagramSum:
         return self._terms.get(diagram, 0)
 
     def items(self) -> list[tuple[LatticeDiagram, int]]:
-        """Terms sorted by the diagrams' cell lists under the lexicographic order."""
-        return sorted(self._terms.items(), key=lambda kv: [(q, p) for p, q in kv[0].cells])
+        """Terms sorted by the diagrams' cell lists under the lexicographic order,
+        each cell read as its rank among the sum's distinct cells."""
+        rank = {c: i for i, c in enumerate(sorted({c for d in self._terms for c in d.cells}, key=lex_key))}
+        return sorted(self._terms.items(), key=lambda kv: list(map(rank.__getitem__, kv[0].cells)))
 
     def __len__(self) -> int:
         return len(self._terms)

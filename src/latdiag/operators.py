@@ -131,30 +131,33 @@ def epsilon_prime(tableau: ColumnTableau, diagram: LatticeDiagram) -> EpsilonPri
     return EpsilonPrimeResult(value, tuple(cells), tuple(stages), tuple(stage_values))
 
 
-def _surviving_move(tableau: ColumnTableau, cells: tuple[Cell, ...]) -> list[Cell] | None:
-    """epsilon_prime's final cells when its value is 1, else None, stopping at the
-    first stage that leaves the quadrant or collides; entries lie in 1..len(cells)."""
-    cells, occupied = list(cells), set(cells)
-    for col in reversed(tableau.columns):
-        for entry in col:
-            occupied.remove(cells[entry - 1])
-        for entry in col:
-            p, q = cells[entry - 1]
-            if p == 0 or (p - 1, q) in occupied:
-                return None
-            cells[entry - 1] = (p - 1, q)
-            occupied.add((p - 1, q))
-    return cells
+def _surviving_stage(cells: tuple[Cell, ...], col: tuple[int, ...]) -> tuple[Cell, ...] | None:
+    """The cells after one epsilon_prime stage, each entry of col dropping one row,
+    or None when a cell leaves the quadrant or collides; entries lie in 1..len(cells)."""
+    moved, occupied = list(cells), set(cells)
+    for entry in col:
+        occupied.remove(cells[entry - 1])
+    for entry in col:
+        p, q = cells[entry - 1]
+        if p == 0 or (p - 1, q) in occupied:
+            return None
+        moved[entry - 1] = (p - 1, q)
+        occupied.add((p - 1, q))
+    return tuple(moved)
 
 
 def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTableau]]],
                 diagram: LatticeDiagram, axis: str, degree: int) -> SignedDiagramSum:
     """Sum of sign times the moved diagram over the (sign, tableau) pairs of
     signed_tableaux(n) whose every epsilon_prime stage survives, dropping each
-    at its first dead stage; surviving moves never reorder the cells. A degree
-    above the diagram's weight on the axis gives the empty sum without any
-    tableau. Along y the rule runs on the transposed diagram and transposes
-    each combined term back once. Tableaux times cells are counted as they are
+    at its first dead stage; surviving moves never reorder the cells. Tableaux
+    that end in the same columns share their stages: a tree local to the call,
+    keyed by columns taken from the right, holds each stage's cells, or None
+    once one is dead, so each stage is moved once, and a tableau's leftmost
+    column is applied straight to its parent's cells. A degree above the
+    diagram's weight on the axis gives the empty sum without any tableau.
+    Along y the rule runs on the transposed diagram and transposes each
+    combined term back once. Tableaux times cells are counted as they are
     walked, and a count past ENUMERATION_CAP raises ResourceLimitError."""
     _check_rule_input(diagram, axis)
     if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
@@ -162,21 +165,31 @@ def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTable
     L, base_sign = (diagram, 1) if axis == "x" else transpose(diagram)
     n = len(L)
     moved = SignedDiagramSum(n)
+    tree: dict = {}  # column -> (cells after it or None, the tree of columns to its left)
     for count, (sign, tab) in enumerate(signed_tableaux(n), 1):
         if count * n > ENUMERATION_CAP:
             raise ResourceLimitError(f"{count * n} tableau cells for the staged rule,"
                                      f" enumeration cap is {ENUMERATION_CAP}")
-        final = _surviving_move(tab, L.cells)
-        if final is not None:
-            try:
-                d = LatticeDiagram(tuple(final))
-            except ValueError:
-                raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]") from None
-            moved.add(d, sign)
+        cells, below = L.cells, tree
+        for col in tab.columns[:0:-1]:
+            node = below.get(col)
+            if node is None:
+                node = below[col] = (_surviving_stage(cells, col), {})
+            cells, below = node
+            if cells is None:
+                break
+        else:
+            final = _surviving_stage(cells, tab.columns[0]) if tab.columns else cells
+            if final is not None:
+                try:
+                    d = LatticeDiagram(tuple(final))
+                except ValueError:
+                    raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]") from None
+                moved.add(d, sign)
     if axis == "x":
         return moved
     out = SignedDiagramSum(n)
-    for d, c in moved.items():
+    for d, c in moved._terms.items():
         back, resort_sign = transpose(d)
         out.add(back, c * base_sign * resort_sign)
     return out

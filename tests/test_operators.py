@@ -349,6 +349,35 @@ def test_staged_rule_matches_recorded_stages_on_the_benchmark_ops():
         assert str(apply_schur(lam, diagram, axis)) == str(expected), (lam, str(diagram), axis)
 
 
+def test_staged_rule_moves_each_stage_once_on_the_benchmark_ops(monkeypatch):
+    # A walk per tableau would move at least one stage per tableau walked.
+    # Distinct column suffixes can reach equal cells, so an input is named by
+    # the cells object its tree node holds; holding them keeps the ids apart.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("schur_apply_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    surviving_stage, inputs, walked = latdiag.operators._surviving_stage, [], []
+
+    def recorded_stage(cells, col):
+        inputs.append((cells, col))
+        return surviving_stage(cells, col)
+
+    def counted_tableaux(lam, n):
+        walked.append(enumerate_cs_tableaux(lam, n))
+        return walked[-1]
+
+    monkeypatch.setattr(latdiag.operators, "_surviving_stage", recorded_stage)
+    monkeypatch.setattr(latdiag.operators, "enumerate_cs_tableaux", counted_tableaux)
+    stages = 0
+    for lam, diagram, axis in workloads.SchurApply().ops(1):
+        inputs.clear()
+        apply_schur(lam, diagram, axis)
+        assert len({(id(cells), col) for cells, col in inputs}) == len(inputs), (lam, str(diagram), axis)
+        stages += len(inputs)
+    assert 0 < stages * 5 < sum(map(len, walked))
+
+
 # -- the signed orbit route ----------------------------------------------------------------
 
 

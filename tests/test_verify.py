@@ -227,17 +227,16 @@ def test_witness_monomial_sits_on_one_side(monkeypatch):
 
 
 def test_suite_catches_a_staged_move_without_its_collision_test(monkeypatch):
-    def surviving_move_without_collisions(tableau, cells):
+    def surviving_stage_without_collisions(cells, col):
         cells = list(cells)
-        for col in reversed(tableau.columns):
-            for entry in col:
-                p, q = cells[entry - 1]
-                if p == 0:
-                    return None
-                cells[entry - 1] = (p - 1, q)
+        for entry in col:
+            p, q = cells[entry - 1]
+            if p == 0:
+                return None
+            cells[entry - 1] = (p - 1, q)
         return cells
 
-    monkeypatch.setattr(latdiag.operators, "_surviving_move", surviving_move_without_collisions)
+    monkeypatch.setattr(latdiag.operators, "_surviving_stage", surviving_stage_without_collisions)
     with pytest.raises(RuntimeError, match=r"staged move by 2\|2 reordered the cells of \[1,0;2,0\]"):
         run_suite(SuiteConfig())
 
