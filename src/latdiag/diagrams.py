@@ -8,9 +8,9 @@ determinant to vanish.
 
 `delta` expands the determinant in one sweep over the permutations in
 lexicographic order: each sign comes from a per-n parity table
-(`combinat.lex_parities`), and every term shares one of the two
-coefficients +1/prod(p! q!) and -1/prod(p! q!). An LRU cache of
-`DELTA_CACHE_SIZE` entries keeps recent expansions of at most 6 cells.
+(`combinat.lex_parities`), and every term's numerator is +1 or -1 over the
+one denominator prod(p! q!). An LRU cache of `DELTA_CACHE_SIZE` entries
+keeps recent expansions of at most 6 cells.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator
@@ -140,13 +139,12 @@ def _delta_expand(cells: tuple[Cell, ...]) -> Polynomial:
         denom *= math.factorial(p) * math.factorial(q)
     # Row i of the matrix holds x_i^p y_i^q / (p! q!) in column j, so a
     # permutation puts x_i^{p_perm(i)} y_i^{q_perm(i)} in its term. The cells
-    # are distinct, so every permutation gives its own monomial, and every
-    # coefficient is one of two shared Fractions, chosen by the parity.
-    coeffs = (Fraction(1, denom), Fraction(-1, denom))
+    # are distinct, so every permutation gives its own monomial, and its
+    # numerator over denom is the permutation's sign.
     rows = [p for p, _ in cells]
     cols = [q for _, q in cells]
     keys = map(tuple.__add__, itertools.permutations(rows), itertools.permutations(cols))
-    return Polynomial._trusted(n, dict(zip(keys, map(coeffs.__getitem__, lex_parities(n)))))
+    return Polynomial._trusted(n, denom, dict(zip(keys, map((1, -1).__getitem__, lex_parities(n)))))
 
 
 def delta(diagram: LatticeDiagram) -> Polynomial:

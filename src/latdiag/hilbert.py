@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .diagrams import LatticeDiagram, delta, epsilon
@@ -44,16 +44,17 @@ PIECE_CAP = 1000
 Row = dict[int, int]
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of a rational matrix whose rows all have one length (ValueError
-    otherwise): each row, scaled to integers, goes through `_insert`."""
+def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank of a matrix of numbers.Rational (TypeError otherwise) with rows of one
+    length (ValueError otherwise): each row, scaled to integers, goes through `_insert`."""
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows differ in length")
     pivots: dict[int, Row] = {}
     for row in rows:
-        fracs = [Fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in fracs))
-        _insert(pivots, {col: int(v * scale) for col, v in enumerate(fracs) if v})
+        if not all(isinstance(v, Rational) for v in row):
+            raise TypeError(f"matrix row {list(row)!r} has an entry that is not an exact rational")
+        scale = math.lcm(*(v.denominator for v in row))
+        _insert(pivots, {col: v.numerator * (scale // v.denominator) for col, v in enumerate(row) if v})
     return len(pivots)
 
 
@@ -106,7 +107,7 @@ def hilbert(diagram: LatticeDiagram) -> HilbertTable:
     # Expand through `delta`, not a Leibniz sweep of its own: the perfbench
     # tracer and the gate's injected faults reach `hilbert` through it.
     base = delta(diagram)
-    width = max(map(max, base.terms)).bit_length() or 1
+    width = max(map(max, base.nums)).bit_length() or 1
     mask = (1 << width) - 1
     shifts = [width * pos for pos in range(2 * n)]
     # column[b] is the echelon basis of the piece (a, b) for the current a
@@ -127,12 +128,12 @@ def hilbert(diagram: LatticeDiagram) -> HilbertTable:
 def _divided_powers(poly: Polynomial, width: int) -> Row:
     """A polynomial whose divided-power coefficients are all +-1, as those of
     delta(L) are, as a Row with `width` bits per exponent."""
-    row = {}
-    for mono, coeff in poly.terms.items():
-        value = coeff * math.prod(math.factorial(e) for e in mono)
-        if value not in (1, -1):
-            raise RuntimeError(f"divided-power coefficient {value} of {mono} is not +-1")
-        row[sum(e << (width * pos) for pos, e in enumerate(mono))] = int(value)
+    row, den = {}, poly.den
+    for mono, num in poly.nums.items():
+        value = num * math.prod(math.factorial(e) for e in mono)
+        if value not in (den, -den):
+            raise RuntimeError(f"divided-power coefficient {value}/{den} of {mono} is not +-1")
+        row[sum(e << (width * pos) for pos, e in enumerate(mono))] = value // den
     return row
 
 

@@ -19,6 +19,7 @@ so surviving intermediate diagrams never reorder.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import index
@@ -248,8 +249,9 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
 
 def expand(total: SignedDiagramSum) -> Polynomial:
     """Replace every diagram by its determinant: the polynomial the sum denotes.
-    The diagrams have distinct cell sets, so their determinants share no monomial."""
-    terms: dict = {}
-    for d, c in total.items():
-        terms.update((c * delta(d)).terms)
-    return Polynomial._trusted(total.ncells, terms) if terms else Polynomial.zero(total.ncells)
+    The diagrams have distinct cell sets, so their determinants share no monomial,
+    and each one's numerators are scaled to the lcm of their denominators."""
+    dets = [(c, delta(d)) for d, c in total.items()]
+    den = math.lcm(*(det.den for _, det in dets))
+    return Polynomial._trusted(total.ncells, den, {mono: c * (den // det.den) * num for c, det in dets
+                                                   for mono, num in det.nums.items()})

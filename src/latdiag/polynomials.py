@@ -1,32 +1,27 @@
 """Exact sparse polynomial arithmetic in the paired alphabets x1..xn, y1..yn.
 
-Coefficients are exact rationals: `Polynomial` takes a numbers.Rational and
-raises TypeError for a float or a str. `diff_operator` reads each side as
-integer numerators over one common denominator, a form each polynomial makes
-on its first use and keeps; it multiplies ints and shares one Fraction per
-distinct numerator. A scalar product, negation included, multiplies each
-distinct coefficient object once, keyed by id as str(P) is, so c * delta(L)
-makes two products, not n!. Polynomials are immutable (all arithmetic
-returns fresh objects), so the kept form never goes stale, and they are safe
-to share across threads: two threads that fill the form at once store equal
-values.
+A polynomial stores its coefficients as integer numerators over one positive
+denominator `den`: `nums` maps each monomial to a nonzero int, and
+gcd(den, *nums.values()) == 1, so equal polynomials store equal forms.
+`terms` is a read-only view that yields each coefficient as Fraction(num,
+den). `Polynomial` takes numbers.Rational coefficients and raises TypeError
+for a float or a str. Polynomials are immutable: arithmetic makes new ones.
 
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
-has an empty term map, so it is falsy and has no bidegrees.
+has no terms and den 1, so it is falsy and has no bidegrees.
 
 `Polynomial(...)` validates every term it is given: parsed text, builders
 that pass ints, callers outside the package. Results whose terms are valid
 by construction skip that through `Polynomial._trusted`: the arithmetic
-operators, `partial`, `swap_alphabets`, `diff_operator`, `diagonal_action`
-and the Leibniz expansion of `diagrams.delta`. Such a term map has tuples of
-2n nonnegative ints as keys and nonzero Fractions as values.
+operators, `partial`, `swap_alphabets`, `diff_operator`, `diagonal_action`,
+the Leibniz expansion of `diagrams.delta` and `operators.expand`.
 
 The text form, written by str(P) and read by parse_polynomial: one or more
 terms, with an optional sign before the first and "+" or "-" between terms.
 A term is factors joined by "*", each an integer or a variable x<i> or y<i>
 (1 <= i <= n) with an optional "^e", then an optional "/den" with den > 0.
 Whitespace may separate any two tokens; "−" reads as "-"; "0" is zero.
-str(P) makes each distinct x-block, y-block and coefficient text only once.
+str(P) makes each distinct x-block, y-block and numerator text only once.
 """
 
 from __future__ import annotations
@@ -34,10 +29,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
 from operator import getitem, index
-from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
 
@@ -57,55 +52,71 @@ def _axis_offset(nvars: int, axis: str, index: int) -> int:
     return (0 if axis == "x" else nvars) + index - 1
 
 
+class _Terms(Mapping):
+    """Polynomial.terms: a read-only map from monomial to Fraction(num, den)."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums: dict[Monomial, int]):
+        self.den, self.nums = den, nums
+
+    def __getitem__(self, mono) -> Fraction:
+        return Fraction(self.nums[mono], self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
 class Polynomial:
     """Sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_ints", "_pairs")
+    __slots__ = ("nvars", "den", "nums", "_pairs")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(map(index, mono))
-                if len(mono) != 2 * nvars:
-                    raise ValueError(f"monomial {mono} needs {2 * nvars} exponents")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in monomial {mono}")
-                if not isinstance(coeff, Rational):
-                    raise TypeError(f"coefficient {coeff!r} is not an exact rational")
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.nvars = nvars
-        self.terms = clean
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(map(index, mono))
+            if len(mono) != 2 * nvars:
+                raise ValueError(f"monomial {mono} needs {2 * nvars} exponents")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in monomial {mono}")
+            if not isinstance(coeff, Rational):
+                raise TypeError(f"coefficient {coeff!r} is not an exact rational")
+            coeff = Fraction(coeff)
+            if coeff:
+                clean[mono] = coeff
+        # Over the lcm of reduced denominators, the numerators have no common factor with it.
+        self.nvars, self.den = nvars, math.lcm(*(c.denominator for c in clean.values()))
+        self.nums = {mono: c.numerator * (self.den // c.denominator) for mono, c in clean.items()}
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap a term map without validating it: for callers whose keys are
-        tuples of 2n nonnegative ints and whose values are nonzero Fractions
-        by construction. The map is used as is, not copied."""
+    def _trusted(cls, nvars: int, den: int, nums: dict[Monomial, int]) -> "Polynomial":
+        """Wrap numerators over den, dividing out gcd(den, *nums.values()), without
+        validating: for callers whose den is positive and whose map has tuples of 2n
+        nonnegative ints as keys and nonzero ints as values (not copied if the gcd is 1)."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {mono: num // g for mono, num in nums.items()}
         poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly.terms = terms
+        poly.nvars, poly.den, poly.nums = nvars, den, nums
         return poly
 
-    def _integer_form(self) -> tuple[int, list[int]]:
-        """diff_operator's integer form, made once: the common denominator and each
-        term's numerator over it, in term order, scaling each distinct coefficient once."""
-        if not hasattr(self, "_ints"):
-            distinct = {id(c): c for c in self.terms.values()}
-            den = math.lcm(*(c.denominator for c in distinct.values()))
-            scaled = {key: c.numerator * (den // c.denominator) for key, c in distinct.items()}
-            self._ints = den, list(map(scaled.__getitem__, map(id, self.terms.values())))
-        return self._ints
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        """The coefficients as Fractions, in the stored order; a read-only view."""
+        return _Terms(self.den, self.nums)
 
     def _operator_pairs(self) -> list[tuple[list[tuple[int, int]], int]]:
-        """Each term's nonzero (position, exponent) pairs and its numerator."""
+        """Each term's nonzero (position, exponent) pairs and its numerator, kept."""
         if not hasattr(self, "_pairs"):
             self._pairs = [([(pos, a) for pos, a in enumerate(mono) if a], num)
-                           for mono, num in zip(self.terms, self._integer_form()[1])]
+                           for mono, num in self.nums.items()]
         return self._pairs
 
     # -- constructors -------------------------------------------------
@@ -133,20 +144,23 @@ class Polynomial:
     # -- basic structure ----------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        mono = tuple(mono)
+        if len(mono) != 2 * self.nvars:
+            raise ValueError(f"monomial {mono} needs {2 * self.nvars} exponents")
+        return Fraction(self.nums.get(mono, 0), self.den)
 
     def bidegrees(self) -> set[tuple[int, int]]:
         """Set of (x-degree, y-degree) pairs appearing among the terms."""
         n = self.nvars
-        return {(sum(m[:n]), sum(m[n:])) for m in self.terms}
+        return {(sum(m[:n]), sum(m[n:])) for m in self.nums}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -158,10 +172,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return Polynomial._trusted(self.nvars, {m: c for m, c in out.items() if c})
+        den = math.lcm(self.den, other.den)
+        out = dict(zip(self.nums, map((den // self.den).__mul__, self.nums.values())))
+        for mono, num in zip(other.nums, map((den // other.den).__mul__, other.nums.values())):
+            out[mono] = out.get(mono, 0) + num
+        return Polynomial._trusted(self.nvars, den, {m: c for m, c in out.items() if c})
 
     def __neg__(self) -> "Polynomial":
         return self * -1
@@ -174,18 +189,17 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            out: dict[Monomial, Fraction] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
+            out: dict[Monomial, int] = {}
+            for ma, ca in self.nums.items():
+                for mb, cb in other.nums.items():
                     key = tuple(ea + eb for ea, eb in zip(ma, mb))
                     out[key] = out.get(key, 0) + ca * cb
-            return Polynomial._trusted(self.nvars, {m: c for m, c in out.items() if c})
+            return Polynomial._trusted(self.nvars, self.den * other.den, {m: c for m, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.nvars)
-            terms = self.terms
-            scaled = {key: c * other for key, c in {id(c): c for c in terms.values()}.items()}
-            return Polynomial._trusted(self.nvars, dict(zip(terms, map(scaled.__getitem__, map(id, terms.values())))))
+            return Polynomial._trusted(self.nvars, self.den * other.denominator,
+                                       dict(zip(self.nums, map(other.numerator.__mul__, self.nums.values()))))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -199,7 +213,7 @@ class Polynomial:
     def swap_alphabets(self) -> "Polynomial":
         """Exchange the x and y alphabets: p(X;Y) -> p(Y;X)."""
         n = self.nvars
-        return Polynomial._trusted(n, {m[n:] + m[:n]: c for m, c in self.terms.items()})
+        return Polynomial._trusted(n, self.den, {m[n:] + m[:n]: c for m, c in self.nums.items()})
 
     # -- canonical text form --------------------------------------------
 
@@ -207,35 +221,35 @@ class Polynomial:
         # total degree descending, then lexicographic on the concatenated
         # exponent vector; prints "x2 - x1" rather than "-x1 + x2". The
         # second sort is stable, so it keeps the lexicographic order of ties.
-        order = sorted(self.terms)
+        order = sorted(self.nums)
         order.sort(key=sum, reverse=True)
         return order
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
+        nums, den = self.nums, self.den
+        if not nums:
             return "0"
         n = self.nvars
-        exponents = set().union(*terms) - {0}
+        exponents = set().union(*nums) - {0}
         # xfactors[i][e] is the text of the factor x<i+1>^e, "x3^2"; "" for e = 0
         xfactors, yfactors = ([{0: "", **{e: f"{v}{i}" + (f"^{e}" if e > 1 else "") for e in exponents}}
                                for i in range(1, n + 1)] for v in "xy")
-        # Each text is made once: a coefficient's is (sign, numerator alone,
-        # numerator before a monomial, denominator), keyed by id, which is sound
-        # as self.terms keeps the coefficients alive; delta(L)'s n! terms share
-        # two. Every block text is cached before any term is written, so the
-        # cache lies together in memory rather than among the terms.
+        # Each distinct numerator's text is made once: (sign, numerator alone,
+        # numerator before a monomial, denominator) in lowest terms; delta(L)'s
+        # n! terms have two. Every block text is cached before any term is
+        # written, so the cache lies together in memory, not among the terms.
         texts: dict[int, tuple[str, str, str, str]] = {}
-        for coeff in {id(c): c for c in terms.values()}.values():
-            num, den = abs(coeff.numerator), coeff.denominator
+        for value in set(nums.values()):
+            g = math.gcd(value, den)
+            num, lowest = abs(value) // g, den // g
             try:
-                texts[id(coeff)] = ("- " if coeff < 0 else "+ ", str(num),
-                                    f"{num}*" if num != 1 else "", f"/{den}" if den != 1 else "")
+                texts[value] = ("- " if value < 0 else "+ ", str(num),
+                                f"{num}*" if num != 1 else "", f"/{lowest}" if lowest != 1 else "")
             except ValueError:  # an integer longer than the interpreter writes
                 raise ResourceLimitError(f"a coefficient has more than {sys.get_int_max_str_digits()}"
                                          " digits, the limit for integer text") from None
         order = self._term_order()
-        constant = terms[order.pop()] if not any(order[-1]) else None  # sorts last
+        constant = nums[order.pop()] if not any(order[-1]) else None  # sorts last
         xtexts, ytexts, xcol, ycol = {}, {}, [], []
         for mono in order:
             xb, yb = mono[:n], mono[n:]
@@ -248,9 +262,9 @@ class Polynomial:
             xcol.append(xs)
             ycol.append(ys)
         chunks = [f"{sign}{lead}{xs}{'*' if xs and ys else ''}{ys}{tail}" for (sign, _, lead, tail), xs, ys
-                  in zip(map(texts.__getitem__, map(id, map(terms.__getitem__, order))), xcol, ycol)]
+                  in zip(map(texts.__getitem__, map(nums.__getitem__, order)), xcol, ycol)]
         if constant is not None:
-            sign, alone, _, tail = texts[id(constant)]
+            sign, alone, _, tail = texts[constant]
             chunks.append(sign + alone + tail)
         first = chunks[0]
         chunks[0] = first[2:] if first[0] == "+" else "-" + first[2:]
@@ -262,14 +276,10 @@ class Polynomial:
 
 def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
     """Apply operator(dX; dY) to target, substituting each variable by the
-    corresponding partial derivative. Each side's common denominator and
-    numerators, and the operator's nonzero (position, exponent) pairs, are
-    computed on a polynomial's first use and kept on it."""
-    if operator.nvars != target.nvars:
-        raise ValueError(f"mismatched nvars: {operator.nvars} vs {target.nvars}")
-    dden, _ = operator._integer_form()
-    tden, tnums = target._integer_form()
-    nums = list(zip(target.terms, tnums))
+    corresponding partial derivative: one product of numerators per term pair,
+    over only the operator's nonzero (position, exponent) pairs, kept on it."""
+    operator._check_compatible(target)
+    nums = list(target.nums.items())
     out: dict[Monomial, int] = {}
     for pairs, dnum in operator._operator_pairs():
         for tmono, tnum in nums:
@@ -283,9 +293,7 @@ def diff_operator(operator: Polynomial, target: Polynomial) -> Polynomial:
                     key[pos] -= a
                 k = tuple(key)
                 out[k] = out.get(k, 0) + coeff
-    den = dden * tden
-    shared = {c: Fraction(c, den) for c in set(out.values()) if c}  # one Fraction per numerator
-    return Polynomial._trusted(target.nvars, {m: shared[c] for m, c in out.items() if c})
+    return Polynomial._trusted(target.nvars, operator.den * target.den, {m: c for m, c in out.items() if c})
 
 
 def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:
@@ -297,15 +305,15 @@ def diagonal_action(sigma: Sequence[int], poly: Polynomial) -> Polynomial:
     sig = tuple(map(index, sigma))
     if sorted(sig) != list(range(1, n + 1)):
         raise ValueError(f"{sig} is not a permutation of 1..{n}")
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in poly.terms.items():
+    out: dict[Monomial, int] = {}
+    for mono, coeff in poly.nums.items():
         xe = [0] * n
         ye = [0] * n
         for i in range(n):
             xe[sig[i] - 1] = mono[i]
             ye[sig[i] - 1] = mono[n + i]
         out[tuple(xe) + tuple(ye)] = coeff
-    return Polynomial._trusted(n, out)
+    return Polynomial._trusted(n, poly.den, out)
 
 
 # One term of the text form in the module docstring; the sign is optional on

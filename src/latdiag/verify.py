@@ -67,8 +67,8 @@ def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
 
 @cache
 def _built_operator(op: str, parts: tuple[int, ...], n: int, axis: str) -> Polynomial:
-    """operator_polynomial's value, one object per input, so diff_operator's
-    integer forms cached on it are reused."""
+    """operator_polynomial's value, one object per input, so the operator pairs
+    diff_operator keeps on it are reused."""
     if op == "s":
         poly = schur_tableaux(parts, n)
     elif op == "ea":
@@ -135,23 +135,19 @@ class VerificationReport:
 
 
 def _sum_matches(total: SignedDiagramSum, expected: Polynomial) -> bool:
-    """expand(total) == expected in integers, without expanding total: every coefficient
-    object is scaled once, keyed by id, to (numerator, remainder) over den, expected's common
-    denominator. Distinct diagrams share no monomial, so a count of those met ends the check."""
-    eterms = expected.terms
-    distinct = {id(e): e for e in eterms.values()}
-    den = math.lcm(*(e.denominator for e in distinct.values()))
-    enums = {key: (e.numerator * (den // e.denominator), 0) for key, e in distinct.items()}
+    """expand(total) == expected in integers, without expanding total: c * delta(d)'s term
+    v / dden equals expected's e / eden when c * v * eden == dden * e. Distinct diagrams
+    share no monomial, so a count of those met ends the check."""
+    enums, eden = expected.nums, expected.den
     visited = 0
     for d, c in total._terms.items():
-        dterms = delta(d).terms
-        dnums = {key: divmod(c * f.numerator * den, f.denominator)
-                 for key, f in {id(f): f for f in dterms.values()}.items()}
-        want = map(enums.get, map(id, map(eterms.get, dterms)))  # None for a monomial expected lacks
-        if list(want) != list(map(dnums.__getitem__, map(id, dterms.values()))):
+        det = delta(d)
+        dnums = det.nums
+        want = map(det.den.__mul__, map(enums.get, dnums, itertools.repeat(0)))  # 0 for a monomial expected lacks
+        if list(map((c * eden).__mul__, dnums.values())) != list(want):
             return False
-        visited += len(dterms)
-    return visited == len(eterms) and total.ncells == expected.nvars
+        visited += len(dnums)
+    return visited == len(enums) and total.ncells == expected.nvars
 
 
 def verify_instance(op: str, param, diagram: LatticeDiagram, axis: str = "x") -> VerificationReport:

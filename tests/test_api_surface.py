@@ -51,3 +51,23 @@ def test_no_private_names_cross_modules():
                 crossings += [f"{path.name}: {node.module}.{alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert crossings == []
+
+
+def test_fractions_and_id_stay_out_of_the_core():
+    # Coefficients are integer numerators over one denominator: only
+    # polynomials.py makes Fractions (the terms view, the constructor and the
+    # text form), and no module keys objects by id().
+    paths = sorted((ROOT / "src" / "latdiag").glob("*.py"))
+    assert paths
+    offences = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "fractions" in modules and path.name != "polynomials.py":
+                offences.append(f"{path.name}:{node.lineno} imports fractions")
+            if isinstance(node, ast.Name) and node.id == "id":
+                offences.append(f"{path.name}:{node.lineno} uses id")
+    assert offences == []

@@ -52,6 +52,17 @@ def test_exact_rank_known_cases():
         exact_rank([[1, 1], [1]])
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param([[0.1, 0.3], [1, 3]], id="floats"),
+    pytest.param([["1/2", "1"], [1, 2]], id="strs"),
+    pytest.param([[1, 2], [3, None]], id="none-in-a-later-row"),
+])
+def test_exact_rank_refuses_inexact_entries(rows):
+    # [0.1, 0.3] is proportional to [1, 3] as written, but not as binary floats
+    with pytest.raises(TypeError):
+        exact_rank(rows)
+
+
 def test_exact_rank_matches_naive():
     import random
 

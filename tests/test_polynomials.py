@@ -108,6 +108,14 @@ def test_arithmetic_with_other_types():
     assert p * 0 == Polynomial.zero(2)
 
 
+def test_coefficient_refuses_a_monomial_of_the_wrong_length():
+    p = Polynomial.constant(2, 3)
+    assert p.coefficient((0, 0, 0, 0)) == 3 and p.coefficient((1, 0, 0, 0)) == 0
+    for mono in [(0,), (0, 0, 0), (0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            p.coefficient(mono)
+
+
 def test_zero_degree_is_none():
     z = Polynomial.zero(3)
     assert z.bidegrees() == set()
@@ -286,6 +294,17 @@ def test_arithmetic_keeps_invariants(pair, c):
         assert_canonical(result)
 
 
+@settings(max_examples=100, deadline=None)
+@given(polynomial_pairs(), coefficients)
+def test_stored_form_is_reduced(pair, c):
+    # integer numerators over one positive denominator, in lowest terms, so
+    # that equal polynomials store equal forms
+    a, b = pair
+    for p in (a, b, a + b, a - b, a * b, c * a, diff_operator(a, b), a.swap_alphabets()):
+        assert p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
+        assert all(type(num) is int and num for num in p.nums.values())
+
+
 # -- diff_operator against a plain Fraction loop ------------------------------
 
 
@@ -350,29 +369,27 @@ def test_diff_operator_matches_reference_on_both_axes_with_kept_forms():
     assert_desk_pairs_match_reference()
 
 
-def _first_coefficient_form(self):
-    """A wrong integer form: every term scaled as the first coefficient."""
-    den = math.lcm(*(c.denominator for c in self.terms.values()))
-    first = next(iter(self.terms.values()), Fraction(0))
-    return den, [first.numerator * (den // first.denominator)] * len(self.terms)
+def _first_numerator_pairs(self):
+    """Wrong operator pairs: every term's numerator read as the first."""
+    first = next(iter(self.nums.values()), 0)
+    return [([(pos, a) for pos, a in enumerate(mono) if a], first) for mono in self.nums]
 
 
 def test_desk_pairs_catch_a_wrong_integer_form(monkeypatch):
-    monkeypatch.setattr(Polynomial, "_integer_form", _first_coefficient_form)
+    monkeypatch.setattr(Polynomial, "_operator_pairs", _first_numerator_pairs)
     with pytest.raises(AssertionError):
         assert_desk_pairs_match_reference()
 
 
 def test_integer_form_is_kept_and_follows_term_order():
     target = Fraction(1, 4) * x(2, 1) - Fraction(5, 6) * y(2, 2) + Polynomial.constant(2, 3)
-    den, nums = target._integer_form()
-    assert (den, nums) == (12, [3, -10, 36])
-    assert target._integer_form()[1] is nums
-    assert [Fraction(num, den) for num in nums] == list(target.terms.values())
+    den, nums = target.den, target.nums
+    assert (den, list(nums.items())) == (12, [((1, 0, 0, 0), 3), ((0, 0, 0, 1), -10), ((0, 0, 0, 0), 36)])
+    assert [Fraction(num, den) for num in nums.values()] == list(target.terms.values())
     pairs = target._operator_pairs()
     assert pairs == [([(0, 1)], 3), ([(3, 1)], -10), ([], 36)]
     assert target._operator_pairs() is pairs
-    assert Polynomial.zero(2)._integer_form() == (1, [])
+    assert (Polynomial.zero(2).den, Polynomial.zero(2).nums) == (1, {})
 
 
 def test_diff_operator_constant_terms():
@@ -474,9 +491,7 @@ def test_str_matches_reference_on_the_benchmark_deltas():
 
 def _unshared_halves(nvars, monos):
     terms = {mono: Fraction(1, 2) for mono in monos}
-    poly = Polynomial(nvars, terms)
-    assert len(set(map(id, poly.terms.values()))) == len(monos)
-    return poly
+    return Polynomial(nvars, terms)
 
 
 @pytest.mark.parametrize("poly, text", [

@@ -329,12 +329,12 @@ def _mutant(old, new):
 
 @pytest.mark.parametrize("old, new", [
     # without the final monomial count: a dropped term goes unseen
-    ("visited == len(eterms) and ", ""),
-    # every expected numerator, or every delta numerator, scaled as the first
-    # coefficient object met
-    ("for key, e in distinct.items()}", "for e in list(distinct.values())[:1] for key in distinct}"),
-    ("for key, f in {id(f): f for f in dterms.values()}.items()}",
-     "for key, f in [(id(g), f) for f in list(dterms.values())[:1] for g in dterms.values()]}"),
+    ("visited == len(enums) and ", ""),
+    # every expected numerator read as the first, or every delta numerator
+    # scaled as the first
+    ("enums, eden = expected.nums,",
+     "enums, eden = dict.fromkeys(expected.nums, next(iter(expected.nums.values()), 0)),"),
+    ("map((c * eden).__mul__, dnums.values())", "[c * eden * next(iter(dnums.values()))] * len(dnums)"),
 ])
 def test_cross_check_catches_a_mutated_sum_check(monkeypatch, old, new):
     monkeypatch.setattr(latdiag.verify, "_sum_matches", _mutant(old, new))
