@@ -212,6 +212,7 @@ class SignedDiagramSum:
     def add(self, diagram: LatticeDiagram, coeff: int) -> None:
         if len(diagram) != self.ncells:
             raise ValueError(f"diagram has {len(diagram)} cells, sum holds {self.ncells}")
+        coeff = index(coeff)
         if coeff == 0 or not epsilon(diagram):
             return
         acc = self._terms.get(diagram, 0) + coeff

@@ -250,8 +250,9 @@ def apply_schur_via_jacobi_trudi(lam: tuple[int, ...], diagram: LatticeDiagram,
 def expand(total: SignedDiagramSum) -> Polynomial:
     """Replace every diagram by its determinant: the polynomial the sum denotes.
     The diagrams have distinct cell sets, so their determinants share no monomial,
-    and each one's numerators are scaled to the lcm of their denominators."""
-    dets = [(c, delta(d)) for d, c in total.items()]
+    and each one's numerators are scaled to the lcm of their denominators. Terms
+    come in the sum's stored order, not items()'s sorted one; str sorts its own."""
+    dets = [(c, delta(d)) for d, c in total._terms.items()]
     den = math.lcm(*(det.den for _, det in dets))
     return Polynomial._trusted(total.ncells, den, {mono: c * (den // det.den) * num for c, det in dets
                                                    for mono, num in det.nums.items()})

@@ -10,11 +10,10 @@ for a float or a str. Polynomials are immutable: arithmetic makes new ones.
 A monomial is a tuple of 2n exponents, the x-block first. The zero polynomial
 has no terms and den 1, so it is falsy and has no bidegrees.
 
-`Polynomial(...)` validates every term it is given: parsed text, builders
-that pass ints, callers outside the package. Results whose terms are valid
-by construction skip that through `Polynomial._trusted`: the arithmetic
-operators, `partial`, `swap_alphabets`, `diff_operator`, `diagonal_action`,
-the Leibniz expansion of `diagrams.delta` and `operators.expand`.
+`Polynomial(...)` validates every term it is given. Results whose terms are
+valid by construction skip that through `Polynomial._trusted`: arithmetic,
+`partial`, `swap_alphabets`, `diff_operator`, `diagonal_action`,
+`parse_polynomial`, `diagrams.delta`'s Leibniz expansion and `operators.expand`.
 
 The text form, written by str(P) and read by parse_polynomial: one or more
 terms, with an optional sign before the first and "+" or "-" between terms.
@@ -31,6 +30,7 @@ import re
 import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import cache
 from numbers import Rational
 from operator import getitem, index
 
@@ -45,11 +45,12 @@ def check_axis(axis: str) -> None:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _axis_offset(nvars: int, axis: str, index: int) -> int:
+def _axis_offset(nvars: int, axis: str, i: int) -> int:
     check_axis(axis)
-    if not 1 <= index <= nvars:
-        raise ValueError(f"variable index {index} out of range 1..{nvars}")
-    return (0 if axis == "x" else nvars) + index - 1
+    i = index(i)
+    if not 1 <= i <= nvars:
+        raise ValueError(f"variable index {i} out of range 1..{nvars}")
+    return (0 if axis == "x" else nvars) + i - 1
 
 
 class _Terms(Mapping):
@@ -328,10 +329,13 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
     Raises ValueError on text outside the grammar in the module docstring.
     """
+    if nvars < 1:
+        raise ValueError("nvars must be at least 1")
     text = text.replace("−", "-")
-    terms: dict[Monomial, Fraction] = {}
+    offset = cache(lambda axis, var: _axis_offset(nvars, axis, int(var)))  # once per variable text
+    terms: list[tuple[Monomial, int, int]] = []
     pos = 0
-    while True:
+    while pos < len(text) or not terms:
         m = _TERM_RE.match(text, pos)
         if not m or (pos and not m[1]):
             raise ValueError(f"malformed polynomial text at position {pos}: {text[pos:pos + 20]!r}")
@@ -340,12 +344,14 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
             if integer:
                 num *= int(integer)
             else:
-                exps[_axis_offset(nvars, axis, int(var))] += int(power or 1)
+                exps[offset(axis, var)] += int(power or 1)
         den = int(m[3] or 1)
         if not den:
             raise ValueError(f"zero denominator in the term {m[0].strip()!r}")
-        mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + Fraction(-num if m[1] == "-" else num, den)
+        terms.append((tuple(exps), -num if m[1] == "-" else num, den))
         pos = m.end()
-        if pos == len(text):
-            return Polynomial(nvars, terms)
+    lcm = math.lcm(*{den for _, _, den in terms})
+    nums: dict[Monomial, int] = {}
+    for mono, num, den in terms:
+        nums[mono] = nums.get(mono, 0) + num * (lcm // den)
+    return Polynomial._trusted(nvars, lcm, {mono: num for mono, num in nums.items() if num})

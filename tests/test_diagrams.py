@@ -287,6 +287,18 @@ def test_sum_rejects_wrong_size():
         total.add(LatticeDiagram(((0, 0),)), 1)
 
 
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), 0.5, Fraction(2, 1)])
+def test_sum_refuses_a_coefficient_that_is_not_an_integer(coeff):
+    # stored, it would fail later, in str or in expand, far from the cause
+    diagram = LatticeDiagram(((0, 0), (1, 0)))
+    with pytest.raises(TypeError):
+        SignedDiagramSum(2, {diagram: coeff})
+    total = SignedDiagramSum(2)
+    with pytest.raises(TypeError):
+        total.add(diagram, coeff)
+    assert not total
+
+
 def test_sums_and_polynomials_are_unhashable_and_falsy_when_empty():
     total = SignedDiagramSum(2)
     poly = delta(LatticeDiagram(((0, 0), (1, 0))))

@@ -439,9 +439,10 @@ def test_expand_examples():
 
 
 def _reference_expand(total):
-    """expand as the loop that multiplies every term's coefficient by its diagram's."""
+    """expand as the loop that multiplies every term's coefficient by its diagram's,
+    in the sum's stored order."""
     terms = {}
-    for d, c in total.items():
+    for d, c in total._terms.items():
         for mono, coeff in delta(d).terms.items():
             terms[mono] = c * coeff
     return Polynomial(total.ncells, terms)

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -530,6 +531,31 @@ MALFORMED = ["", "  ", "+", "x1 +", "- -x1", "x1 x2", "2 3", "x1^", "x1/", "x1^2
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_polynomial(text, 2)
+
+
+def test_parse_sums_like_terms_over_one_denominator():
+    # numerators summed over the lcm of the term denominators give the
+    # validating constructor's form
+    assert not parse_polynomial("x1/2 + x1/3 - 5*x1/6", 1)
+    assert parse_polynomial("x1/2 + x1/3 - 5*x1/6", 1).den == 1
+    assert parse_polynomial("2*y2/4 - x1/6 + x01^2 + 0", 2) == Polynomial(
+        2, {(0, 0, 0, 1): Fraction(1, 2), (1, 0, 0, 0): Fraction(-1, 6), (2, 0, 0, 0): 1})
+    for text, n in [("2*y2/4 - x1/6 + x1^2", 2), ("6/4 + x1*x1/9", 1), ("-4*y1^2/6", 3)]:
+        p = parse_polynomial(text, n)
+        assert Polynomial(n, p.terms) == p and p.den == math.lcm(*(c.denominator for c in p.terms.values()))
+
+
+@pytest.mark.parametrize("text, nvars, message", [
+    ("1", 0, "nvars must be at least 1"),
+    ("x1", -1, "nvars must be at least 1"),
+    ("x1 + y3", 2, "variable index 3 out of range 1..2"),
+    ("x0", 2, "variable index 0 out of range 1..2"),
+    ("x1 + 2/0", 2, "zero denominator in the term '+ 2/0'"),
+    ("x1 ^ 2 3", 2, "malformed polynomial text at position 7: '3'"),
+])
+def test_parse_errors_name_their_cause(text, nvars, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_polynomial(text, nvars)
 
 
 def test_parse_accepts_whitespace_between_tokens():
