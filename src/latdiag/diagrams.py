@@ -87,12 +87,8 @@ def normalize(cells: Iterable[Cell]) -> tuple[LatticeDiagram, int]:
     """
     cells = [(index(p), index(q)) for p, q in cells]
     order = sorted(range(len(cells)), key=lambda i: lex_key(cells[i]))
-    diagram = LatticeDiagram(tuple(cells[i] for i in order))
-    if len(set(cells)) != len(cells):
-        sign = 1
-    else:
-        sign = permutation_sign(order)
-    return diagram, sign
+    sign = 1 if len(set(cells)) != len(cells) else permutation_sign(order)
+    return LatticeDiagram._trusted(tuple(cells[i] for i in order)), sign
 
 
 def epsilon(diagram: LatticeDiagram | Iterable[Cell]) -> int:

@@ -7,9 +7,9 @@ resorts with the sign. Every other rule is a staged sum over tableaux whose
 entries drop cells one row at a time: s_lambda over the column-strict Young
 tableaux of shape lambda, e_alpha over those of columns alpha sharing no row,
 e_k the one-column e_(k) and h_k the one-row s_(k). Only these staged rules
-transpose: along y they run on the transposed diagram, with the two resort
-signs multiplied into each coefficient, because a one-column move can
-reorder the lexicographic positions while a one-row move cannot.
+transpose, because a one-column move can reorder the lexicographic positions
+while a one-row move cannot: along y they run on the transposed diagram, and
+each distinct moved diagram is transposed back once, with both resort signs.
 
 Tableau entries always index cells of the *original* diagram in lex order.
 This stays well defined across stages: a one-row move within a column either
@@ -55,7 +55,7 @@ def apply_power_sum(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedD
     in the quadrant and free; survivors times cells past ENUMERATION_CAP raise
     ResourceLimitError before any diagram is built.
     """
-    if k < 1:
+    if index(k) < 1:
         raise ValueError("power sum needs k >= 1")
     _check_rule_input(diagram, axis)
     dp, dq = (index(k), 0) if axis == "x" else (0, index(k))
@@ -80,7 +80,7 @@ def apply_elementary(k: int, diagram: LatticeDiagram, axis: str = "x") -> Signed
     Along x, surviving terms all carry coefficient +1: one-row moves within a
     column cannot cross another cell without colliding with it first.
     """
-    if k < 1:
+    if index(k) < 1:
         raise ValueError("elementary rule needs k >= 1")
     return apply_e_alpha((k,), diagram, axis)
 
@@ -88,7 +88,7 @@ def apply_elementary(k: int, diagram: LatticeDiagram, axis: str = "x") -> Signed
 def apply_homogeneous(k: int, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
     """Homogeneous rule: h_k is the one-row Schur operator s_(k), so this is
     apply_schur((k,))."""
-    if k < 1:
+    if index(k) < 1:
         raise ValueError("homogeneous rule needs k >= 1")
     return apply_schur((k,), diagram, axis)
 
@@ -155,17 +155,18 @@ def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTable
     that end in the same columns share their stages: a tree local to the call,
     keyed by columns taken from the right, holds each stage's cells, or None
     once one is dead, so each stage is moved once, and a tableau's leftmost
-    column is applied straight to its parent's cells. A degree above the
-    diagram's weight on the axis gives the empty sum without any tableau.
-    Along y the rule runs on the transposed diagram and transposes each
-    combined term back once. Tableaux times cells are counted as they are
-    walked, and a count past ENUMERATION_CAP raises ResourceLimitError."""
+    column is applied straight to its parent's cells. Signs are summed per
+    moved cell tuple, whose order is checked when first seen; each tuple is
+    then one term, along y transposed back with both resort signs. A degree
+    above the diagram's weight on the axis gives the empty sum without any
+    tableau. Tableaux times cells are counted as they are walked, and a
+    count past ENUMERATION_CAP raises ResourceLimitError."""
     _check_rule_input(diagram, axis)
     if degree > (diagram.row_weight if axis == "x" else diagram.column_weight):
         return SignedDiagramSum(len(diagram))
     L, base_sign = (diagram, 1) if axis == "x" else transpose(diagram)
     n = len(L)
-    moved = SignedDiagramSum(n)
+    counts: dict[tuple[Cell, ...], int] = {}
     tree: dict = {}  # column -> (cells after it or None, the tree of columns to its left)
     for count, (sign, tab) in enumerate(signed_tableaux(n), 1):
         if count * n > ENUMERATION_CAP:
@@ -182,17 +183,17 @@ def staged_rule(signed_tableaux: Callable[[int], Iterable[tuple[int, ColumnTable
         else:
             final = _surviving_stage(cells, tab.columns[0]) if tab.columns else cells
             if final is not None:
-                try:
-                    d = LatticeDiagram(tuple(final))
-                except ValueError:
-                    raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]") from None
-                moved.add(d, sign)
-    if axis == "x":
-        return moved
+                final = tuple(final)
+                if final not in counts and sorted(final, key=lex_key) != list(final):
+                    raise RuntimeError(f"staged move by {tab} reordered the cells of [{L}]")
+                counts[final] = counts.get(final, 0) + sign
     out = SignedDiagramSum(n)
-    for d, c in moved._terms.items():
-        back, resort_sign = transpose(d)
-        out.add(back, c * base_sign * resort_sign)
+    for final, c in counts.items():
+        d = LatticeDiagram._trusted(final)
+        if axis == "y":
+            d, resort_sign = transpose(d)
+            c *= base_sign * resort_sign
+        out.add(d, c)
     return out
 
 

@@ -163,7 +163,7 @@ def enumerate_universe(max_cells: int, box_rows: int, box_cols: int) -> tuple[La
         if count > UNIVERSE_CAP:
             raise ResourceLimitError(f"the suite universe has at least {count} diagrams, cap is {UNIVERSE_CAP}")
     box = [(p, q) for q in range(box_cols) for p in range(box_rows)]
-    return tuple(LatticeDiagram(combo) for m in sizes for combo in itertools.combinations(box, m))
+    return tuple(LatticeDiagram._trusted(combo) for m in sizes for combo in itertools.combinations(box, m))
 
 
 @dataclass(frozen=True)

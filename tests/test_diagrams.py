@@ -390,3 +390,11 @@ cells_lists = st.lists(st.tuples(st.integers(-3, 20), st.integers(-3, 20)), min_
 def test_diagram_text_round_trip(cells):
     diagram, _ = normalize(cells)
     assert parse_diagram(str(diagram)) == (diagram, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells_lists)
+def test_normalize_and_transpose_give_diagrams_that_revalidate_unchanged(cells):
+    diagram, _ = normalize(cells)
+    for d in (diagram, transpose(diagram)[0]):
+        assert type(d.cells) is tuple and LatticeDiagram(d.cells) == d, d.cells

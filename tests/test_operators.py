@@ -339,6 +339,16 @@ def test_staged_rule_matches_recorded_stages(caller):
                     param, str(diagram), axis)
 
 
+@pytest.mark.parametrize("caller", ["apply_schur", "apply_e_alpha", "apply_schur_via_jacobi_trudi"])
+def test_staged_rule_terms_revalidate_unchanged(caller):
+    rule, params, _ = STAGED_CALLERS[caller]
+    for diagram in enumerate_universe(4, 3, 3):
+        for axis in ("x", "y"):
+            for param in params:
+                for d, _ in rule(param, diagram, axis).items():
+                    assert type(d.cells) is tuple and LatticeDiagram(d.cells) == d, (param, str(diagram), axis)
+
+
 def test_staged_rule_matches_recorded_stages_on_the_benchmark_ops():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("schur_apply_workloads", path)

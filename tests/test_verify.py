@@ -83,6 +83,11 @@ def test_combinatorial_sum_unknown_operator():
     lambda: Polynomial.variable(2, "y", 2).partial("y", 1.5),
     lambda: diagonal_action((1.5,), Polynomial.constant(1, 1)),
     lambda: apply_power_sum(1.5, D((3, 0), (4, 0))),
+    lambda: apply_power_sum(0.5, D((3, 0), (4, 0))),
+    lambda: latdiag.operators.apply_elementary(0.5, D((3, 0), (4, 0))),
+    lambda: latdiag.operators.apply_elementary(1.5, D((3, 0), (4, 0))),
+    lambda: latdiag.operators.apply_homogeneous(0.5, D((3, 0), (4, 0))),
+    lambda: latdiag.operators.apply_homogeneous(1.5, D((3, 0), (4, 0))),
     lambda: apply_schur((1.5,), D((3, 0), (4, 0))),
     lambda: apply_e_alpha((1.5,), D((3, 0), (4, 0))),
     lambda: enumerate_column_families((1.5,), 2),
@@ -92,7 +97,8 @@ def test_combinatorial_sum_unknown_operator():
     lambda: verify_instance("p", 1.5, D((3, 0), (4, 0))),
 ], ids=["check_partition", "LatticeDiagram", "normalize", "ColumnTableau", "Polynomial",
         "Polynomial.variable", "Polynomial.partial",
-        "diagonal_action", "apply_power_sum", "apply_schur", "apply_e_alpha",
+        "diagonal_action", "apply_power_sum", "apply_power_sum-0.5", "apply_elementary-0.5",
+        "apply_elementary-1.5", "apply_homogeneous-0.5", "apply_homogeneous-1.5", "apply_schur", "apply_e_alpha",
         "enumerate_column_families", "shape_orbit_sign", "operator_polynomial",
         "combinatorial_sum", "verify_instance"])
 def test_non_integer_input_raises_type_error(call):
@@ -110,6 +116,11 @@ def test_universe_counts():
         ((0, 0),), ((1, 0),), ((0, 0), (1, 0))]
     assert len(enumerate_universe(4, 3, 3)) == sum(math.comb(9, m) for m in (1, 2, 3, 4))
     assert len(enumerate_universe(4, 3, 3)) == 255
+
+
+def test_universe_diagrams_revalidate_unchanged():
+    for d in enumerate_universe(4, 3, 3):
+        assert type(d.cells) is tuple and LatticeDiagram(d.cells) == d, d.cells
 
 
 def test_universe_is_deterministic():
