@@ -2,9 +2,8 @@
 
 Everything is built in the x alphabet; callers wanting the y version swap
 alphabets on the result. Each builder sums x^v over its textbook exponent
-vectors v, so the work per monomial depends on n and not on the degree. The
-builders cache their results (Polynomial values are immutable), except
-schur_jacobi_trudi, the independent check.
+vectors v, so the work per monomial depends on n and not on the degree.
+Nothing here is cached: verify._built_operator keeps each operator polynomial.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import cache
 
 from .combinat import staircase_orbit, weak_compositions
 from .polynomials import Polynomial
@@ -24,7 +22,6 @@ def _monomial_sum(exponents, n: int) -> Polynomial:
     return Polynomial(n, Counter(v + (0,) * n for v in exponents))
 
 
-@cache
 def power_sum(k: int, n: int) -> Polynomial:
     """Sum of x_i^k over i = 1..n: the n unit vectors, times k."""
     if k < 1 or n < 1:
@@ -32,7 +29,6 @@ def power_sum(k: int, n: int) -> Polynomial:
     return _monomial_sum((tuple(k * (i == j) for j in range(n)) for i in range(n)), n)
 
 
-@cache
 def elementary(k: int, n: int) -> Polynomial:
     """Sum of the squarefree monomials of degree k, one per k-subset's 0/1
     vector; e_0 = 1 and e_k = 0 for k < 0."""
@@ -44,7 +40,6 @@ def elementary(k: int, n: int) -> Polynomial:
     return _monomial_sum((tuple(int(i in s) for i in range(n)) for s in subsets), n)
 
 
-@cache
 def homogeneous(k: int, n: int) -> Polynomial:
     """Sum of all monomials of degree k: the weak compositions of k into n parts."""
     if n < 1:
@@ -64,7 +59,6 @@ def schur_jacobi_trudi(lam: tuple[int, ...], n: int) -> Polynomial:
     return total
 
 
-@cache
 def schur_tableaux(lam: tuple[int, ...], n: int) -> Polynomial:
     """Schur polynomial as the generating function of column-strict Young
     tableaux: one monomial x^T per tableau, T's content as exponents."""

@@ -40,8 +40,16 @@ OP_KINDS = ("p", "e", "h", "s")
 ORACLE_CAP = 500_000
 
 
-def _check_oracle_cap(op: str, k: int, n: int) -> None:
+def _parts(op: str, param) -> tuple[int, ...]:
+    """param as ints: (k,) for p, e and h, the partition for s, the composition for ea."""
+    if op not in OP_KINDS + ("ea",):
+        raise ValueError(f"unknown operator kind {op!r}")
+    return check_partition(param) if op == "s" else tuple(map(index, param)) if op == "ea" else (index(param),)
+
+
+def _check_oracle_cap(op: str, parts: tuple[int, ...], n: int) -> None:
     """operator_polynomial's refusal, before it builds anything."""
+    k = sum(parts)
     monomials = 0 if k < 1 else n if op == "p" else math.comb(n, k) if op == "e" else math.comb(n + k - 1, k)
     if monomials * math.factorial(n) > ORACLE_CAP:
         raise ResourceLimitError(f"the oracle for degree {k} on {n} cells exceeds the cap {ORACLE_CAP}")
@@ -50,18 +58,15 @@ def _check_oracle_cap(op: str, k: int, n: int) -> None:
 def operator_polynomial(op: str, param, n: int, axis: str = "x") -> Polynomial:
     """The symmetric polynomial whose derivative operator an instance tests.
 
-    Raises ValueError for a p, e or h degree below 1, and ResourceLimitError
-    before building anything when its monomials (n for p, comb(n, k) for e,
-    at most comb(n+k-1, k) otherwise) times n! exceed ORACLE_CAP. s_lambda is
-    built from its tableaux, under ENUMERATION_CAP."""
+    param is read by _parts. Raises ValueError for a p, e or h degree below 1,
+    and ResourceLimitError before building anything when its monomials (n for
+    p, comb(n, k) for e, at most comb(n+k-1, k) otherwise) times n! exceed
+    ORACLE_CAP. s_lambda is built from its tableaux, under ENUMERATION_CAP."""
     check_axis(axis)
-    if op not in OP_KINDS + ("ea",):
-        raise ValueError(f"unknown operator kind {op!r}")
-    parts = check_partition(param) if op == "s" else tuple(map(index, param if op == "ea" else (param,)))
-    k = sum(parts)
-    if op in ("p", "e", "h") and k < 1:
-        raise ValueError(f"operator {op!r} needs a parameter >= 1, got {k}")
-    _check_oracle_cap(op, k, n)
+    parts = _parts(op, param)
+    if op in ("p", "e", "h") and parts[0] < 1:
+        raise ValueError(f"operator {op!r} needs a parameter >= 1, got {parts[0]}")
+    _check_oracle_cap(op, parts, n)
     return _built_operator(op, parts, n, axis)
 
 
@@ -79,18 +84,13 @@ def _built_operator(op: str, parts: tuple[int, ...], n: int, axis: str) -> Polyn
 
 
 def combinatorial_sum(op: str, param, diagram: LatticeDiagram, axis: str = "x") -> SignedDiagramSum:
-    """Dispatch to the cell-movement rule for the operator kind."""
-    if op == "p":
-        return apply_power_sum(index(param), diagram, axis)
-    if op == "e":
-        return apply_elementary(index(param), diagram, axis)
-    if op == "h":
-        return apply_homogeneous(index(param), diagram, axis)
+    """The cell-movement rule for the operator kind, on param as _parts reads it."""
+    parts = _parts(op, param)
     if op == "s":
-        return apply_schur(check_partition(param), diagram, axis)
+        return apply_schur(parts, diagram, axis)
     if op == "ea":
-        return apply_e_alpha(tuple(param), diagram, axis)
-    raise ValueError(f"unknown operator kind {op!r}")
+        return apply_e_alpha(parts, diagram, axis)
+    return {"p": apply_power_sum, "e": apply_elementary, "h": apply_homogeneous}[op](*parts, diagram, axis)
 
 
 def _param_str(op: str, param) -> str:
@@ -284,7 +284,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteSummary:
     for n in sorted(set(map(len, enumerate_universe(cfg.max_cells, cfg.box_rows, cfg.box_cols)))):
         for op in cfg.operators:
             for param in _params_for(op, cfg.max_weight):
-                _check_oracle_cap(op, sum(param) if op == "s" else param, n)
+                _check_oracle_cap(op, _parts(op, param), n)
     total = failed = 0
     first_failure = None
     for op, param, diagram, axis in suite_instances(cfg):

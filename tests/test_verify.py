@@ -95,12 +95,16 @@ def test_combinatorial_sum_unknown_operator():
     lambda: operator_polynomial("p", 1.5, 2),
     lambda: combinatorial_sum("p", 1.5, D((3, 0), (4, 0))),
     lambda: verify_instance("p", 1.5, D((3, 0), (4, 0))),
+    lambda: combinatorial_sum("p", (2,), D((3, 0), (4, 0))),
+    lambda: operator_polynomial("e", (2,), 3),
+    lambda: verify_instance("h", (1,), D((3, 0), (4, 0))),
 ], ids=["check_partition", "LatticeDiagram", "normalize", "ColumnTableau", "Polynomial",
         "Polynomial.variable", "Polynomial.partial",
         "diagonal_action", "apply_power_sum", "apply_power_sum-0.5", "apply_elementary-0.5",
         "apply_elementary-1.5", "apply_homogeneous-0.5", "apply_homogeneous-1.5", "apply_schur", "apply_e_alpha",
         "enumerate_column_families", "shape_orbit_sign", "operator_polynomial",
-        "combinatorial_sum", "verify_instance"])
+        "combinatorial_sum", "verify_instance", "combinatorial_sum-tuple", "operator_polynomial-tuple",
+        "verify_instance-tuple"])
 def test_non_integer_input_raises_type_error(call):
     # int() would truncate 1.5 to 1 and answer for the wrong input
     with pytest.raises(TypeError):
@@ -365,6 +369,11 @@ def test_operator_polynomial_is_built_once_per_input():
     # the key is the parsed parameter: a list and a tuple give the same object
     assert operator_polynomial("s", [2, 1], 3, "y") is operator_polynomial("s", (2, 1), 3, "y")
     assert operator_polynomial("ea", [2, 1], 4) is operator_polynomial("ea", (2, 1), 4)
+    # combinatorial_sum reads the parameter the same way
+    total = combinatorial_sum("s", [2, 1], D((0, 0), (2, 0), (0, 2), (1, 3)), "y")
+    assert total and total == combinatorial_sum("s", (2, 1), D((0, 0), (2, 0), (0, 2), (1, 3)), "y")
+    total = combinatorial_sum("ea", [2, 1], D((1, 0), (3, 0), (0, 1), (2, 1)))
+    assert total and total == combinatorial_sum("ea", (2, 1), D((1, 0), (3, 0), (0, 1), (2, 1)))
 
 
 def test_built_operators_catch_a_cache_keyed_without_axis(monkeypatch):
